@@ -7,12 +7,14 @@
 //! arrives and must see what the app wants transmitted. [`AppHarness`]
 //! is that adapter: it hosts one app with the **same per-node RNG
 //! derivation the simulator uses** ([`NodeState`]'s
-//! `node_rng_seed(seed, node)` stream), absorbs timer actions into an
-//! internal queue the caller fires explicitly, and returns transmit
-//! actions ([`AppAction`]) for the caller to route however it likes.
+//! `node_rng_seed(seed, node)` stream), absorbs timer actions into the
+//! engine's own [`Scheduler`], keyed by the node's emission counter as
+//! the simulator keys them, which the caller fires explicitly, and
+//! returns transmit actions ([`AppAction`]) for the caller to route
+//! however it likes.
 //!
-//! Because the RNG stream, timer semantics, and action order are
-//! identical to the simulator's, an app driven through a harness over
+//! Because the RNG stream, timer order and re-arms, and action order
+//! are the simulator's, an app driven through a harness over
 //! real sockets is differentially comparable to the same app inside a
 //! [`Simulator`](crate::sim::Simulator) run — the oracle-parity
 //! contract `msb-server` is tested against (`docs/SERVER.md`).
@@ -22,10 +24,8 @@
 //! caller asks ([`AppHarness::fire_timers_until`]). The harness never
 //! reads a wall clock.
 
-use std::collections::BinaryHeap;
-
 use crate::payload::Payload;
-use crate::sched::Recurrence;
+use crate::sched::{HeapScheduler, Scheduler};
 use crate::sim::{Action, DeliveryMode, NodeApp, NodeCtx, NodeId, NodeState};
 
 /// A transmission an app requested — the public mirror of the
@@ -62,31 +62,6 @@ impl AppAction {
     }
 }
 
-/// A pending timer, ordered for a min-heap by `(at_us, seq)`: earliest
-/// first, insertion order breaking ties — the same order the
-/// simulator's queue yields same-instant timers set by one node
-/// (its emission counter is monotonic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PendingTimer {
-    at_us: u64,
-    seq: u64,
-    token: u64,
-    recur: Option<Recurrence>,
-}
-
-impl Ord for PendingTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest on top.
-        (other.at_us, other.seq).cmp(&(self.at_us, self.seq))
-    }
-}
-
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Hosts one [`NodeApp`] outside the simulator. See the
 /// [module docs](self) for the determinism contract.
 pub struct AppHarness<A: NodeApp> {
@@ -94,8 +69,10 @@ pub struct AppHarness<A: NodeApp> {
     position: (f64, f64),
     delivery: DeliveryMode,
     state: NodeState<A>,
-    timers: BinaryHeap<PendingTimer>,
-    timer_seq: u64,
+    /// Pending timer tokens on the engine's scheduler, keyed by this
+    /// node's emission counter ([`NodeState::next_key`]) exactly as the
+    /// simulator keys them: same firing order, same recurrence re-arms.
+    timers: HeapScheduler<u64>,
 }
 
 impl<A: NodeApp> AppHarness<A> {
@@ -108,8 +85,7 @@ impl<A: NodeApp> AppHarness<A> {
             position: (0.0, 0.0),
             delivery,
             state: NodeState::new(app, seed, raw),
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
+            timers: HeapScheduler::new(),
         }
     }
 
@@ -145,32 +121,19 @@ impl<A: NodeApp> AppHarness<A> {
     }
 
     /// The instant the earliest pending timer fires, if any.
-    pub fn next_timer_at(&self) -> Option<u64> {
-        self.timers.peek().map(|t| t.at_us)
+    pub fn next_timer_at(&mut self) -> Option<u64> {
+        self.timers.peek().map(|(at_us, _)| at_us)
     }
 
     /// Fires every timer scheduled at or before `now_us`, in the
-    /// simulator's order (time, then insertion), re-arming recurring
-    /// entries exactly as the simulator would. Returns the transmit
+    /// simulator's order (time, then emission), re-arming recurring
+    /// entries exactly as the simulator does. Returns the transmit
     /// actions from all firings, in firing order.
     pub fn fire_timers_until(&mut self, now_us: u64) -> Vec<AppAction> {
         let mut out = Vec::new();
-        while let Some(&next) = self.timers.peek() {
-            if next.at_us > now_us {
-                break;
-            }
-            self.timers.pop();
-            let token = next.token;
-            out.extend(self.run_callback(next.at_us, |app, ctx| app.on_timer(ctx, token)));
-            if let Some(rec) = next.recur {
-                let again = next.at_us + rec.period_us;
-                if again <= rec.until_us {
-                    // Re-arms keep their original seq: a recurring
-                    // entry's position among same-instant peers is set
-                    // when it is first scheduled, as in the simulator.
-                    self.timers.push(PendingTimer { at_us: again, ..next });
-                }
-            }
+        while self.next_timer_at().is_some_and(|at_us| at_us <= now_us) {
+            let (at_us, token) = self.timers.pop().expect("peeked a timer");
+            out.extend(self.run_callback(at_us, |app, ctx| app.on_timer(ctx, token)));
         }
         out
     }
@@ -199,18 +162,17 @@ impl<A: NodeApp> AppHarness<A> {
                 Action::Broadcast(p) => out.push(AppAction::Broadcast(p)),
                 Action::BroadcastK(k, p) => out.push(AppAction::BroadcastK { k, payload: p }),
                 Action::Unicast(to, p) => out.push(AppAction::Unicast { to, payload: p }),
-                Action::Timer(delay, token) => self.arm(now_us + delay, token, None),
-                Action::RecurringTimer(delay, rec, token) => {
-                    self.arm(now_us + delay, token, Some(rec));
+                Action::Timer(delay, token) => {
+                    let key = self.state.next_key(self.id.0);
+                    self.timers.schedule(now_us + delay, key, token);
+                }
+                Action::RecurringTimer(delay, recur, token) => {
+                    let key = self.state.next_key(self.id.0);
+                    self.timers.schedule_recurring(now_us + delay, key, recur, token);
                 }
             }
         }
         out
-    }
-
-    fn arm(&mut self, at_us: u64, token: u64, recur: Option<Recurrence>) {
-        self.timers.push(PendingTimer { at_us, seq: self.timer_seq, token, recur });
-        self.timer_seq += 1;
     }
 }
 

@@ -109,10 +109,6 @@ struct ShardCore<A> {
     /// outbox per destination shard — each drained as a single
     /// coalesced transfer at the window barrier.
     outboxes: Vec<Vec<ScheduledEvent<EventKind>>>,
-    /// Bulk-sort inbound envelope batches on arrival (the default).
-    /// Off = schedule envelopes one by one in arrival order — the
-    /// reference behaviour the batched path is proven identical to.
-    batching: bool,
     targets_buf: Vec<(u32, f64)>,
     knear_buf: Vec<u32>,
     /// Reusable buffers for queries against the shared global topology
@@ -142,7 +138,6 @@ impl<A: NodeApp> ShardCore<A> {
             now_us: 0,
             metrics: Metrics::default(),
             outboxes: (0..shards).map(|_| Vec::new()).collect(),
-            batching: true,
             targets_buf: Vec::new(),
             knear_buf: Vec::new(),
             scratch: TopoScratch::default(),
@@ -163,19 +158,12 @@ impl<A: NodeApp> ShardCore<A> {
     /// the coalescing ratio observable.
     fn ingest(&mut self, inbound: Vec<ScheduledEvent<EventKind>>) {
         self.telemetry.incr("shard.ingested", self.shard, inbound.len() as u64);
-        if self.batching {
-            if !inbound.is_empty() {
-                self.telemetry.incr("batch.envelopes", self.shard, inbound.len() as u64);
-                self.telemetry.incr("batch.sends", self.shard, 1);
-            }
-            // One bulk insert, sorted by content key on arrival.
-            self.queue.schedule_all(inbound);
-        } else {
-            for ev in inbound {
-                debug_assert!(ev.recur.is_none(), "cross-shard events are never recurring");
-                self.queue.schedule(ev.at_us, ev.key, ev.item);
-            }
+        if !inbound.is_empty() {
+            self.telemetry.incr("batch.envelopes", self.shard, inbound.len() as u64);
+            self.telemetry.incr("batch.sends", self.shard, 1);
         }
+        // One bulk insert, sorted by content key on arrival.
+        self.queue.schedule_all(inbound);
         self.note_queue();
     }
 
@@ -498,7 +486,9 @@ struct Reply {
 pub struct ShardedSimulator<A: NodeApp> {
     config: SimConfig,
     seed: u64,
-    tiles: LatticeConfig,
+    /// The hex lattice shards partition the plane by; `None` with one
+    /// shard, which owns every tile.
+    tiles: Option<LatticeConfig>,
     /// The one shared world topology (positions + hex index); workers
     /// borrow it read-only during windows.
     topo: Topology,
@@ -553,7 +543,9 @@ impl<A: NodeApp> ShardedSimulator<A> {
         ShardedSimulator {
             config: core_config,
             seed,
-            tiles: LatticeConfig::new((0.0, 0.0), config.cell_d.unwrap_or(config.radio_range)),
+            tiles: (shards > 1).then(|| {
+                LatticeConfig::new((0.0, 0.0), config.cell_d.unwrap_or(config.radio_range))
+            }),
             topo: Topology::new(&core_config),
             cores: (0..shards).map(|i| ShardCore::new(i as u32, core_config, shards)).collect(),
             owner: Vec::new(),
@@ -573,17 +565,6 @@ impl<A: NodeApp> ShardedSimulator<A> {
         self.telemetry = Recorder::on(trace_cap);
         for core in &mut self.cores {
             core.telemetry = Recorder::on(trace_cap);
-        }
-    }
-
-    /// Switches cross-shard envelope batching (default **on**): off,
-    /// inbound envelopes are scheduled one by one in arrival order —
-    /// the reference transfer path the batched bulk-sorted ingest is
-    /// differentially proven trace-identical to. Speed-only, like every
-    /// other engine switch.
-    pub fn set_envelope_batching(&mut self, on: bool) {
-        for core in &mut self.cores {
-            core.batching = on;
         }
     }
 
@@ -607,8 +588,9 @@ impl<A: NodeApp> ShardedSimulator<A> {
 
     /// The shard that owns the tile containing `position`.
     fn tile_owner(&self, position: (f64, f64)) -> u32 {
+        let Some(tiles) = &self.tiles else { return 0 };
         let region = self.config.region_tiles.max(1) as i64;
-        region_owner(region, self.cores.len() as u64, self.tiles.snap(position))
+        region_owner(region, self.cores.len() as u64, tiles.snap(position))
     }
 
     /// Adds a node at `position`, returning its id: the shared topology
@@ -707,14 +689,56 @@ impl<A: NodeApp> ShardedSimulator<A> {
     /// resulting cross-shard emissions.
     pub fn start(&mut self) {
         self.refresh_halos();
-        let topo = &self.topo;
-        let owner: &[u32] = &self.owner;
-        for (i, &shard) in owner.iter().enumerate() {
-            let id = NodeId(i as u32);
-            let core = &mut self.cores[shard as usize];
-            core.with_ctx(WorldRef { topo, owner }, id, |app, ctx| app.on_start(ctx));
+        for i in 0..self.owner.len() {
+            self.callback(NodeId(i as u32), |app, ctx| app.on_start(ctx));
         }
         self.route_outboxes();
+    }
+
+    /// Runs one callback on node `id` outside the event loop, at the
+    /// global clock (which a quiesce point may have advanced past the
+    /// owning core's last event); its emissions stay in the owning
+    /// core's queue and outboxes.
+    pub(crate) fn callback(&mut self, id: NodeId, f: impl FnOnce(&mut A, &mut NodeCtx<'_>)) {
+        let core = &mut self.cores[self.owner[id.index()] as usize];
+        core.now_us = self.now_us;
+        core.with_ctx(WorldRef { topo: &self.topo, owner: &self.owner }, id, f);
+    }
+
+    /// Processes the lone core's events `≤ horizon` inline — no
+    /// threads, no channels, hence no `Send` bound. The whole run loop
+    /// of a one-shard engine, and of [`crate::sim::Simulator`].
+    pub(crate) fn run_inline(&mut self, horizon: u64) {
+        let core = &mut self.cores[0];
+        core.process_until(WorldRef { topo: &self.topo, owner: &self.owner }, horizon);
+        debug_assert!(core.outboxes.iter().all(Vec::is_empty), "a lone shard owns every node");
+        self.now_us = self.now_us.max(core.now_us);
+    }
+
+    /// Processes the lone core's next event (a same-instant batch
+    /// under [`SimConfig::batch_delivery`]); false when none is
+    /// pending ([`crate::sim::Simulator::step`]).
+    pub(crate) fn step_inline(&mut self) -> bool {
+        let core = &mut self.cores[0];
+        let stepped = core.step(WorldRef { topo: &self.topo, owner: &self.owner });
+        self.now_us = self.now_us.max(core.now_us);
+        stepped
+    }
+
+    /// Advances the global clock to `deadline_us` after a bounded run.
+    pub(crate) fn reach(&mut self, deadline_us: u64) {
+        self.now_us = self.now_us.max(deadline_us);
+    }
+
+    /// Core 0's metrics: the whole run's when there is one shard.
+    pub(crate) fn core0_metrics(&self) -> &Metrics {
+        &self.cores[0].metrics
+    }
+
+    /// Core 0's telemetry sink: the whole run's when there is one
+    /// shard (the coordinator records only handoffs, which need two).
+    pub(crate) fn core0_telemetry(&self) -> &Recorder {
+        &self.cores[0].telemetry
     }
 
     /// Injects a message from "outside" the network, carrying the
@@ -734,7 +758,7 @@ impl<A: NodeApp> ShardedSimulator<A> {
     pub fn set_position(&mut self, id: NodeId, position: (f64, f64)) {
         self.topo.set_position(id.index(), position);
         self.halo_dirty = true;
-        self.rehome(id.index());
+        self.rehome_all();
     }
 
     /// Bulk position update at a quiesce point — the mobility tick.
@@ -819,14 +843,17 @@ impl<A: NodeApp> ShardedSimulator<A> {
         }
     }
 
-    /// The batched re-homing pass behind [`Self::set_positions`]:
-    /// computes every node's new owner first, then performs all
-    /// handoffs with **one** queue scan per affected source core.
-    /// (The per-node [`Self::rehome`] scan is O(moved × queue depth)
-    /// per mobility tick — at swarm scale, with thousands of tile
-    /// crossings per tick, that serial scan dominates the entire run.)
-    /// Content-derived keys make the transfer order immaterial, so the
-    /// batch is bit-identical to re-homing node by node.
+    /// The re-homing pass behind [`Self::set_positions`] and
+    /// [`Self::set_position`]: computes every node's new owner first,
+    /// then performs all handoffs with **one** queue scan per affected
+    /// source core — a departing node's state (app, RNG stream,
+    /// emission counter) moves wholesale, and every pending entry
+    /// targeting it is extracted key-intact and transferred (uncounted)
+    /// to the new owner. A scan per moved node would be O(moved × queue
+    /// depth) per mobility tick, which at swarm scale dominates the
+    /// whole run. Content-derived keys make the transfer order
+    /// immaterial, so the batch is bit-identical to re-homing node by
+    /// node.
     fn rehome_all(&mut self) {
         if self.cores.len() == 1 {
             return;
@@ -892,38 +919,6 @@ impl<A: NodeApp> ShardedSimulator<A> {
         );
     }
 
-    /// Re-evaluates node `i`'s owning shard from its current tile and
-    /// performs the handoff when it changed: the node's state (app, RNG
-    /// stream, emission counter) moves wholesale, and every pending
-    /// queue entry targeting it is extracted key-intact and transferred
-    /// (uncounted) to the new owner.
-    fn rehome(&mut self, i: usize) {
-        let position = self.topo.position(i);
-        let new_owner = self.tile_owner(position);
-        let old_owner = self.owner[i];
-        if new_owner == old_owner {
-            return;
-        }
-        if self.telemetry.is_on() {
-            let coord = self.cores.len() as u32;
-            let from_to = (u64::from(old_owner) << 32) | u64::from(new_owner);
-            self.telemetry.event(TraceTag::Handoff, coord, self.now_us, i as u64, from_to);
-        }
-        let node = i as u32;
-        let state = self.cores[old_owner as usize].states.remove(node);
-        let moved = self.cores[old_owner as usize]
-            .queue
-            .extract(&mut |kind: &EventKind| kind.target().0 == node);
-        // `extract` changed the old core's depth; remirror its counters.
-        self.cores[old_owner as usize].note_queue();
-        let dst = &mut self.cores[new_owner as usize];
-        dst.states.insert(node, state);
-        for ev in moved {
-            dst.transfer_in(ev);
-        }
-        self.owner[i] = new_owner;
-    }
-
     /// Routes every core's per-destination outboxes, delivering each
     /// destination **one** coalesced batch (gathered across source
     /// cores in ascending shard order — order is immaterial for the
@@ -973,7 +968,7 @@ impl<A: NodeApp + Send> ShardedSimulator<A> {
     /// Runs until the queues drain or the clock passes `deadline_us`.
     pub fn run_until(&mut self, deadline_us: u64) {
         self.run_windows(Some(deadline_us));
-        self.now_us = self.now_us.max(deadline_us);
+        self.reach(deadline_us);
     }
 
     /// The conservative-lookahead window loop. Each iteration:
@@ -991,25 +986,13 @@ impl<A: NodeApp + Send> ShardedSimulator<A> {
     ///    destination shards for the next window — one transfer per
     ///    (window, destination) pair.
     ///
-    /// With one shard the core runs inline — no threads, no channels.
+    /// With one shard the core runs inline ([`Self::run_inline`]).
     fn run_windows(&mut self, deadline: Option<u64>) {
-        self.refresh_halos();
         let n = self.cores.len();
         if n == 1 {
-            let topo = &self.topo;
-            let owner: &[u32] = &self.owner;
-            let world = WorldRef { topo, owner };
-            let core = &mut self.cores[0];
-            while let Some((at, _)) = core.queue.peek() {
-                if deadline.is_some_and(|d| at > d) {
-                    break;
-                }
-                core.step(world);
-            }
-            debug_assert!(core.outboxes.iter().all(Vec::is_empty), "a lone shard owns every node");
-            self.now_us = self.now_us.max(core.now_us);
-            return;
+            return self.run_inline(deadline.unwrap_or(u64::MAX));
         }
+        self.refresh_halos();
         let lookahead = self.config.base_latency_us;
         let mut nexts: Vec<Option<u64>> =
             self.cores.iter_mut().map(|core| core.next_time()).collect();

@@ -9,16 +9,16 @@
 //! event-processing order. Both choices make a run a pure function of
 //! `(seed, SimConfig, apps)` that is independent of *which engine
 //! executes it*: the pluggable scheduler ([`SimConfig::scheduler`]),
-//! the spatial index ([`SimConfig::spatial`]), and — new — the
+//! the spatial index ([`SimConfig::spatial`]), and the
 //! spatially-sharded parallel engine ([`crate::shard::ShardedSimulator`],
 //! [`SimConfig::shards`]) all reproduce the identical stream
 //! bit-for-bit. See `docs/SIM.md` for the full event-engine and shard
 //! contracts.
 
 use crate::payload::Payload;
-use crate::sched::{AnyScheduler, EventKey, Scheduler};
-use crate::topo::{distance, TopoScratch, Topology};
-use msb_telemetry::{Recorder, TraceTag};
+use crate::sched::EventKey;
+use crate::shard::ShardedSimulator;
+use msb_telemetry::Recorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -153,7 +153,7 @@ pub struct SimConfig {
     /// exactly. Larger regions give each shard spatially contiguous
     /// territory, which shrinks its halo fringe (neighbor tiles owned
     /// by *other* shards) and therefore its resident topology memory —
-    /// the large-swarm configurations set 8–16. Another
+    /// the churn scenarios (`ChurnSpec::standard`) set 4. Another
     /// speed/memory-only knob: the event stream is bit-identical at
     /// any value (the differential suites sweep it). Ignored when
     /// `shards == 1`.
@@ -472,128 +472,89 @@ pub trait SimDriver {
     fn now_us(&self) -> u64;
 }
 
-/// The single-threaded simulator: owns nodes, the event queue, the
-/// clock, and the spatial topology answering range queries. This is
-/// the reference engine — the bit-identity oracle the sharded
-/// [`crate::shard::ShardedSimulator`] is differentially proven
-/// against, exactly as [`SpatialMode::NaiveScan`] and
-/// [`SchedulerMode::BinaryHeap`] serve the spatial and scheduler
+/// The single-threaded simulator: the reference engine, and the
+/// bit-identity oracle the sharded [`ShardedSimulator`] is
+/// differentially proven against, exactly as [`SpatialMode::NaiveScan`]
+/// and [`SchedulerMode::BinaryHeap`] serve the spatial and scheduler
 /// layers.
+///
+/// It is the one-shard configuration of that same engine: one core
+/// owns every node, the one event queue and the [`Metrics`], and runs
+/// inline on the caller's thread (so apps need not be `Send`). There
+/// are no windows, halos, handoffs or envelope batches — the machinery
+/// the N-shard runs are compared against it for.
+/// [`SimConfig::shards`] is ignored.
 pub struct Simulator<A: NodeApp> {
-    nodes: Vec<NodeState<A>>,
-    topo: Topology,
-    /// The event engine ([`SimConfig::scheduler`]); orders the run by
-    /// `(timestamp, content key)`.
-    queue: AnyScheduler<EventKind>,
-    now_us: u64,
-    config: SimConfig,
-    seed: u64,
-    metrics: Metrics,
-    /// External-injection emission counter ([`Simulator::inject`]).
-    ext_seq: u64,
-    /// Scratch for broadcast target lists, reused across events.
-    targets_buf: Vec<(u32, f64)>,
-    /// Scratch for fan-out-capped target lists.
-    knear_buf: Vec<u32>,
-    /// Reusable topology-query buffers (candidate lists, cell covers).
-    scratch: TopoScratch,
-    /// Observability sink — [`Recorder::off`] (a no-op) unless
-    /// [`Simulator::enable_telemetry`] was called. Everything recorded
-    /// here is derived from sim state (sim clock, queue lengths, pop
-    /// counts), never wall clock, so traces are deterministic — and
-    /// recording never feeds back into the run (the differential suite
-    /// pins on-vs-off bit-identity).
-    telemetry: Recorder,
-    /// Calendar resizes already reported as trace events.
-    seen_resizes: u64,
+    engine: ShardedSimulator<A>,
 }
 
 impl<A: NodeApp> Simulator<A> {
     /// Creates a simulator with the given config and RNG seed.
     pub fn new(config: SimConfig, seed: u64) -> Self {
-        Simulator {
-            nodes: Vec::new(),
-            topo: Topology::new(&config),
-            queue: AnyScheduler::for_mode(config.scheduler),
-            now_us: 0,
-            config,
-            seed,
-            metrics: Metrics::default(),
-            ext_seq: 0,
-            targets_buf: Vec::new(),
-            knear_buf: Vec::new(),
-            scratch: TopoScratch::default(),
-            telemetry: Recorder::off(),
-            seen_resizes: 0,
-        }
+        Simulator { engine: ShardedSimulator::new(SimConfig { shards: 1, ..config }, seed) }
     }
 
     /// Turns the telemetry sink on, keeping the most recent
     /// `trace_cap` trace events. Enabling telemetry changes no
     /// simulated outcome (same events, matches, RNG draws, and
-    /// [`Metrics`]) — it only records.
+    /// [`Metrics`]) — it only records. Everything recorded is derived
+    /// from sim state (sim clock, queue lengths, pop counts), never
+    /// wall clock, so traces are deterministic.
     pub fn enable_telemetry(&mut self, trace_cap: usize) {
-        self.telemetry = Recorder::on(trace_cap);
+        self.engine.enable_telemetry(trace_cap);
     }
 
-    /// The telemetry sink (empty and off by default).
+    /// The telemetry sink (empty and off by default): the engine
+    /// core's series, recorded as core 0.
     pub fn telemetry(&self) -> &Recorder {
-        &self.telemetry
+        self.engine.core0_telemetry()
     }
 
     /// Adds a node at `position`, returning its id.
     pub fn add_node(&mut self, position: (f64, f64), app: A) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeState::new(app, self.seed, id.0));
-        self.topo.push(position);
-        id
+        self.engine.add_node(position, app)
     }
 
     /// Adds many nodes at once (bulk swarm construction), returning their
     /// ids in insertion order.
     pub fn add_nodes(&mut self, nodes: impl IntoIterator<Item = ((f64, f64), A)>) -> Vec<NodeId> {
-        let iter = nodes.into_iter();
-        let mut ids = Vec::with_capacity(iter.size_hint().0);
-        for (position, app) in iter {
-            ids.push(self.add_node(position, app));
-        }
-        ids
+        self.engine.add_nodes(nodes)
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.engine.node_count()
     }
 
     /// Current simulation time in microseconds.
     pub fn now_us(&self) -> u64 {
-        self.now_us
+        self.engine.now_us()
     }
 
     /// Accumulated metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        self.engine.core0_metrics()
     }
 
     /// Borrow a node's application state (e.g. to inspect results).
     pub fn app(&self, id: NodeId) -> &A {
-        &self.nodes[id.index()].app
+        self.engine.app(id)
     }
 
     /// Mutably borrow a node's application state.
     pub fn app_mut(&mut self, id: NodeId) -> &mut A {
-        &mut self.nodes[id.index()].app
+        self.engine.app_mut(id)
     }
 
     /// A node's position.
     pub fn position(&self, id: NodeId) -> (f64, f64) {
-        self.topo.position(id.index())
+        self.engine.position(id)
     }
 
     /// Moves a node (mobility models drive this), keeping the spatial
     /// index in sync.
     pub fn set_position(&mut self, id: NodeId, position: (f64, f64)) {
-        self.topo.set_position(id.index(), position);
+        self.engine.set_position(id, position);
     }
 
     /// Bulk position update, index-aligned with node ids — the mobility
@@ -603,270 +564,48 @@ impl<A: NodeApp> Simulator<A> {
     ///
     /// Panics unless exactly one position per node is supplied.
     pub fn set_positions(&mut self, positions: &[(f64, f64)]) {
-        assert_eq!(positions.len(), self.nodes.len(), "one position per node");
-        for (i, &position) in positions.iter().enumerate() {
-            self.topo.set_position(i, position);
-        }
-        // A quiesce point: release index capacity churn left behind.
-        self.topo.compact();
+        self.engine.set_positions(positions);
     }
 
     /// Calls `on_start` on every node (in id order).
     pub fn start(&mut self) {
-        for i in 0..self.nodes.len() {
-            let id = NodeId(i as u32);
-            self.with_ctx(id, |app, ctx| app.on_start(ctx));
-        }
+        self.engine.start();
     }
 
     /// Runs until the event queue drains.
     pub fn run(&mut self) {
-        while self.step() {}
+        self.engine.run_inline(u64::MAX);
     }
 
     /// Runs until the queue drains or the clock passes `deadline_us`.
     pub fn run_until(&mut self, deadline_us: u64) {
-        while let Some((at_us, _)) = self.queue.peek() {
-            if at_us > deadline_us {
-                break;
-            }
-            self.step();
-        }
-        self.now_us = self.now_us.max(deadline_us);
+        self.engine.run_inline(deadline_us);
+        self.engine.reach(deadline_us);
     }
 
     /// Processes one event; returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((at_us, kind)) = self.queue.pop() else {
-            return false;
-        };
-        // A recurring entry may have re-armed inside the pop.
-        self.note_queue();
-        self.now_us = at_us;
-        if self.telemetry.is_on() {
-            self.telemetry.incr("sim.pops", 0, 1);
-            self.telemetry.gauge_max("sim.queue_depth", 0, self.queue.len() as u64);
-            let resizes = self.queue.resizes();
-            if resizes > self.seen_resizes {
-                self.seen_resizes = resizes;
-                let width = self.queue.bucket_width_us().unwrap_or(0);
-                self.telemetry.event(TraceTag::SchedResize, 0, at_us, resizes, width);
-            }
-        }
-        match kind {
-            EventKind::Deliver { to, from, payload } => {
-                if self.config.batch_delivery {
-                    let batch = self.drain_batch(to, from, payload);
-                    self.metrics.delivered += batch.len() as u64;
-                    self.with_ctx(to, |app, ctx| app.on_batch(ctx, &batch));
-                } else {
-                    self.metrics.delivered += 1;
-                    self.with_ctx(to, |app, ctx| app.on_message(ctx, from, &payload));
-                }
-            }
-            EventKind::Timer { node, token } => {
-                self.with_ctx(node, |app, ctx| app.on_timer(ctx, token));
-            }
-        }
-        true
-    }
-
-    /// Pops the run of queued deliveries that share this event's instant
-    /// and destination. Only *consecutive* queue entries are coalesced,
-    /// preserving the global (time, key) processing order exactly.
-    fn drain_batch(
-        &mut self,
-        to: NodeId,
-        from: NodeId,
-        payload: Payload,
-    ) -> Vec<(NodeId, Payload)> {
-        let mut batch = vec![(from, payload)];
-        loop {
-            let same = match self.queue.peek() {
-                Some((at_us, kind)) => {
-                    at_us == self.now_us
-                        && matches!(kind, EventKind::Deliver { to: t, .. } if *t == to)
-                }
-                None => false,
-            };
-            if !same {
-                break;
-            }
-            let Some((_, EventKind::Deliver { from, payload, .. })) = self.queue.pop() else {
-                unreachable!("peeked a same-instant delivery");
-            };
-            batch.push((from, payload));
-        }
-        batch
+        self.engine.step_inline()
     }
 
     /// Injects a message from "outside" the network (tests, harnesses).
     /// Injections carry the [`EventKey::EXTERNAL_SRC`] sentinel source,
     /// ordering them after node-emitted events at the same instant.
     pub fn inject(&mut self, to: NodeId, from: NodeId, payload: impl Into<Payload>) {
-        let at = self.now_us;
-        let key = EventKey::external(self.ext_seq);
-        self.ext_seq += 1;
-        self.push_event(at, key, EventKind::Deliver { to, from, payload: payload.into() });
-    }
-
-    fn with_ctx(&mut self, id: NodeId, f: impl FnOnce(&mut A, &mut NodeCtx<'_>)) {
-        let position = self.topo.position(id.index());
-        let NodeState { app, rng, .. } = &mut self.nodes[id.index()];
-        let mut ctx = NodeCtx {
-            id,
-            now_us: self.now_us,
-            position,
-            delivery: self.config.delivery,
-            rng,
-            actions: Vec::new(),
-        };
-        f(app, &mut ctx);
-        let actions = ctx.actions;
-        for action in actions {
-            match action {
-                Action::Broadcast(payload) => self.do_broadcast(id, payload),
-                Action::BroadcastK(k, payload) => self.do_broadcast_k(id, k, payload),
-                Action::Unicast(to, payload) => self.do_unicast(id, to, payload),
-                Action::Timer(delay, token) => {
-                    let at = self.now_us + delay;
-                    let key = self.nodes[id.index()].next_key(id.0);
-                    self.push_event(at, key, EventKind::Timer { node: id, token });
-                }
-                Action::RecurringTimer(delay, recur, token) => {
-                    let at = self.now_us + delay;
-                    let key = self.nodes[id.index()].next_key(id.0);
-                    self.queue.schedule_recurring(
-                        at,
-                        key,
-                        recur,
-                        EventKind::Timer { node: id, token },
-                    );
-                    self.note_queue();
-                }
-            }
-        }
-    }
-
-    fn do_broadcast(&mut self, from: NodeId, payload: Payload) {
-        self.metrics.broadcasts += 1;
-        self.metrics.payload_bytes += payload.wire_len() as u64;
-        let mut targets = std::mem::take(&mut self.targets_buf);
-        self.topo.broadcast_targets(
-            &mut self.scratch,
-            &mut self.metrics,
-            from.index(),
-            &mut targets,
-        );
-        for &(i, dist) in &targets {
-            let sender = &mut self.nodes[from.index()];
-            if roll_loss(&self.config, &mut sender.rng) {
-                self.metrics.lost += 1;
-                continue;
-            }
-            let at = self.now_us + draw_latency(&self.config, dist, &mut sender.rng);
-            let key = sender.next_key(from.0);
-            self.push_event(
-                at,
-                key,
-                EventKind::Deliver { to: NodeId(i), from, payload: payload.clone() },
-            );
-        }
-        self.targets_buf = targets;
-    }
-
-    /// One fan-out-capped broadcast ([`NodeCtx::broadcast_k_nearest`]):
-    /// transmits to the `k` nearest other nodes within radio range (see
-    /// [`Topology::k_nearest`] for the spatial-mode equivalence),
-    /// delivering in ascending id order with the same per-target RNG
-    /// draws as a full broadcast.
-    fn do_broadcast_k(&mut self, from: NodeId, k: usize, payload: Payload) {
-        self.metrics.broadcasts += 1;
-        self.metrics.payload_bytes += payload.wire_len() as u64;
-        let mut cand = std::mem::take(&mut self.knear_buf);
-        self.topo.k_nearest(&mut self.scratch, &mut self.metrics, from.index(), k, &mut cand);
-        let src = self.topo.position(from.index());
-        for &i in &cand {
-            let dist = distance(src, self.topo.position(i as usize));
-            let sender = &mut self.nodes[from.index()];
-            if roll_loss(&self.config, &mut sender.rng) {
-                self.metrics.lost += 1;
-                continue;
-            }
-            let at = self.now_us + draw_latency(&self.config, dist, &mut sender.rng);
-            let key = sender.next_key(from.0);
-            self.push_event(
-                at,
-                key,
-                EventKind::Deliver { to: NodeId(i), from, payload: payload.clone() },
-            );
-        }
-        self.knear_buf = cand;
-    }
-
-    fn do_unicast(&mut self, from: NodeId, to: NodeId, payload: Payload) {
-        self.metrics.unicasts += 1;
-        if from == to {
-            let at = self.now_us;
-            let key = self.nodes[from.index()].next_key(from.0);
-            self.push_event(at, key, EventKind::Deliver { to, from, payload });
-            return;
-        }
-        let Some(path) =
-            self.topo.shortest_path(&mut self.scratch, &mut self.metrics, from.index(), to.index())
-        else {
-            self.metrics.unroutable += 1;
-            return;
-        };
-        // Each hop is a transmission; loss anywhere kills the message.
-        let mut at = self.now_us;
-        for hop in path.windows(2) {
-            let d =
-                distance(self.topo.position(hop[0] as usize), self.topo.position(hop[1] as usize));
-            self.metrics.unicast_hops += 1;
-            self.metrics.payload_bytes += payload.wire_len() as u64;
-            let sender = &mut self.nodes[from.index()];
-            if roll_loss(&self.config, &mut sender.rng) {
-                self.metrics.lost += 1;
-                return;
-            }
-            at += draw_latency(&self.config, d, &mut sender.rng);
-        }
-        let key = self.nodes[from.index()].next_key(from.0);
-        self.push_event(at, key, EventKind::Deliver { to, from, payload });
-    }
-
-    fn push_event(&mut self, at_us: u64, key: EventKey, kind: EventKind) {
-        self.queue.schedule(at_us, key, kind);
-        self.note_queue();
-    }
-
-    /// Mirrors the scheduler's queue-pressure counters into [`Metrics`].
-    /// Both counters are engine-independent by construction (same event
-    /// stream → same counts), so differential comparisons need no mask.
-    fn note_queue(&mut self) {
-        self.metrics.events_scheduled = self.queue.events_scheduled();
-        self.metrics.peak_queue_len = self.queue.peak_len() as u64;
+        self.engine.inject(to, from, payload);
     }
 
     /// BFS shortest path over the current connectivity graph (nodes
     /// within radio range are neighbors) — the route unicasts follow.
-    /// See [`Topology::shortest_path`].
     pub fn shortest_path(&mut self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        self.topo
-            .shortest_path(&mut self.scratch, &mut self.metrics, from.index(), to.index())
-            .map(|path| path.into_iter().map(NodeId).collect())
+        self.engine.shortest_path(from, to)
     }
 
     /// Connected components of the current connectivity graph (diagnostic
     /// for partitioned topologies), via the same indexed BFS as
     /// [`Simulator::shortest_path`].
     pub fn connected_components(&mut self) -> Vec<Vec<NodeId>> {
-        self.topo
-            .connected_components(&mut self.scratch, &mut self.metrics)
-            .into_iter()
-            .map(|comp| comp.into_iter().map(NodeId).collect())
-            .collect()
+        self.engine.connected_components()
     }
 }
 
@@ -895,10 +634,9 @@ impl<A: NodeApp> SimDriver for Simulator<A> {
 impl<A: NodeApp> std::fmt::Debug for Simulator<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
-            .field("nodes", &self.nodes.len())
-            .field("now_us", &self.now_us)
-            .field("pending_events", &self.queue.len())
-            .field("metrics", &self.metrics)
+            .field("nodes", &self.node_count())
+            .field("now_us", &self.now_us())
+            .field("metrics", self.metrics())
             .finish()
     }
 }
@@ -1036,7 +774,7 @@ mod tests {
             // Interleave insertions against id order on purpose.
             for call in 0..2u64 {
                 let id = NodeId::new(node);
-                sim.with_ctx(id, |_, ctx| ctx.set_timer(0, u64::from(node) * 10 + call));
+                sim.engine.callback(id, |_, ctx| ctx.set_timer(0, u64::from(node) * 10 + call));
             }
         }
         while sim.step() {}

@@ -95,19 +95,13 @@ fn config(shards: usize, seed: u64) -> SimConfig {
 /// The phase loop is duplicated per engine because `inject` is
 /// inherent, not on [`SimDriver`] — everything else is shared code.
 fn run_trace(shards: usize, seed: u64, n: usize) -> Outcome {
-    run_trace_opts(shards, seed, n, true, 1)
+    run_trace_opts(shards, seed, n, 1)
 }
 
-/// [`run_trace`] with the sharded engine's speed knobs exposed:
-/// envelope batching on/off and the shard-partition region size —
-/// both must be invisible in every observable.
-fn run_trace_opts(
-    shards: usize,
-    seed: u64,
-    n: usize,
-    batching: bool,
-    region_tiles: usize,
-) -> Outcome {
+/// [`run_trace`] with the sharded engine's speed knob exposed: the
+/// shard-partition region size, which must be invisible in every
+/// observable.
+fn run_trace_opts(shards: usize, seed: u64, n: usize, region_tiles: usize) -> Outcome {
     let mut mobility = RandomWaypoint::new(
         n,
         Bounds { width: 260.0, height: 260.0 },
@@ -143,7 +137,6 @@ fn run_trace_opts(
         let mut cfg = config(shards, seed);
         cfg.region_tiles = region_tiles;
         let mut sim = ShardedSimulator::new(cfg, seed);
-        sim.set_envelope_batching(batching);
         sim.add_nodes(placed);
         sim.start();
         let mut buf = Vec::new();
@@ -230,77 +223,111 @@ fn tile_straddling_chain_floods_identically() {
     assert!(oracle.0.iter().all(|t| !t.is_empty()), "the flood must reach the whole chain");
 }
 
+/// Fires a recurring timer on node 0 (plus a far-future one-shot) and
+/// broadcasts on every firing, logging each one.
+struct Ticker {
+    log: Vec<(u64, u64)>,
+}
+
+impl NodeApp for Ticker {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        if ctx.node_id().index() == 0 {
+            // Fires every 10 ms across every handoff below.
+            ctx.set_recurring_timer(10_000, 10_000, 400_000, 7);
+            // Plus a far-future one-shot that must survive re-homing.
+            ctx.set_timer(350_000, 99);
+        }
+    }
+    fn on_message(&mut self, _: &mut NodeCtx<'_>, _: NodeId, _: &msb_net::Payload) {}
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
+        self.log.push((ctx.now_us(), token));
+        ctx.broadcast(vec![token as u8]);
+    }
+}
+
+/// Node 0 walks 600 m in 120 m steps — through many tiles — while
+/// three bystanders listen from fixed posts along the way.
+const WALK_STEPS: usize = 6;
+const POSTS: [(f64, f64); 3] = [(100.0, 60.0), (300.0, 60.0), (500.0, 60.0)];
+
+fn walk(step: usize) -> (f64, f64) {
+    (step as f64 * 120.0, 40.0)
+}
+
+/// Node 0's timer log, masked metrics and final clock.
+type TickerOutcome = (Vec<(u64, u64)>, Metrics, u64);
+
+/// The walk on one engine (`shards == 1` is the oracle). `single`
+/// moves node 0 alone with `set_position` at each quiesce point;
+/// otherwise every node is re-placed with `set_positions`.
+fn run_walk(shards: usize, single: bool) -> TickerOutcome {
+    let cfg = SimConfig { loss_rate: 0.0, shards, ..SimConfig::default() };
+    let nodes = || std::iter::once(walk(0)).chain(POSTS).map(|p| (p, Ticker { log: Vec::new() }));
+    let bulk = |step: usize| {
+        let mut positions = vec![walk(step)];
+        positions.extend(POSTS);
+        positions
+    };
+    if shards == 1 {
+        let mut sim = Simulator::new(cfg, 11);
+        sim.add_nodes(nodes());
+        sim.start();
+        for step in 0..WALK_STEPS {
+            sim.run_until(60_000 * (step as u64 + 1));
+            if single {
+                sim.set_position(NodeId::new(0), walk(step));
+            } else {
+                sim.set_positions(&bulk(step));
+            }
+        }
+        sim.run();
+        let log = std::mem::take(&mut sim.app_mut(NodeId::new(0)).log);
+        (log, sim.metrics().without_queue_pressure(), sim.now_us())
+    } else {
+        let mut sim = ShardedSimulator::new(cfg, 11);
+        sim.add_nodes(nodes());
+        sim.start();
+        for step in 0..WALK_STEPS {
+            sim.run_until(60_000 * (step as u64 + 1));
+            if single {
+                sim.set_position(NodeId::new(0), walk(step));
+            } else {
+                sim.set_positions(&bulk(step));
+            }
+        }
+        sim.run();
+        let log = std::mem::take(&mut sim.app_mut(NodeId::new(0)).log);
+        (log, sim.metrics().without_queue_pressure(), sim.now_us())
+    }
+}
+
 /// A node carrying a live recurring timer is re-homed across shards at
 /// a quiesce point: its queued events must move with it and keep
 /// firing exactly as the oracle's do.
 #[test]
 fn handoff_carries_queued_timers_across_shards() {
-    struct Ticker {
-        log: Vec<(u64, u64)>,
-    }
-    impl NodeApp for Ticker {
-        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-            if ctx.node_id().index() == 0 {
-                // Fires every 10 ms across every handoff below.
-                ctx.set_recurring_timer(10_000, 10_000, 400_000, 7);
-                // Plus a far-future one-shot that must survive re-homing.
-                ctx.set_timer(350_000, 99);
-            }
-        }
-        fn on_message(&mut self, _: &mut NodeCtx<'_>, _: NodeId, _: &msb_net::Payload) {}
-        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
-            self.log.push((ctx.now_us(), token));
-            ctx.broadcast(vec![token as u8]);
-        }
-    }
-    // Node 0 walks 600 m in 60 m steps — through many tiles — while
-    // three bystanders listen from fixed posts along the way.
-    let walk: Vec<(f64, f64)> = (0..6).map(|i| (i as f64 * 120.0, 40.0)).collect();
-    let posts = [(100.0, 60.0), (300.0, 60.0), (500.0, 60.0)];
-    let run = |shards: usize| {
-        let cfg = SimConfig { loss_rate: 0.0, shards, ..SimConfig::default() };
-        let drive = |sim: &mut dyn SimDriver| {
-            sim.start();
-            for (step, &pos) in walk.iter().enumerate() {
-                sim.run_until(60_000 * (step as u64 + 1));
-                let mut positions = vec![pos];
-                positions.extend(posts);
-                sim.set_positions(&positions);
-            }
-            sim.run();
-        };
-        if shards == 1 {
-            let mut sim = Simulator::new(cfg, 11);
-            sim.add_node(walk[0], Ticker { log: Vec::new() });
-            for &p in &posts {
-                sim.add_node(p, Ticker { log: Vec::new() });
-            }
-            drive(&mut sim);
-            (
-                std::mem::take(&mut sim.app_mut(NodeId::new(0)).log),
-                sim.metrics().without_queue_pressure(),
-                sim.now_us(),
-            )
-        } else {
-            let mut sim = ShardedSimulator::new(cfg, 11);
-            sim.add_node(walk[0], Ticker { log: Vec::new() });
-            for &p in &posts {
-                sim.add_node(p, Ticker { log: Vec::new() });
-            }
-            drive(&mut sim);
-            (
-                std::mem::take(&mut sim.app_mut(NodeId::new(0)).log),
-                sim.metrics().without_queue_pressure(),
-                sim.now_us(),
-            )
-        }
-    };
-    let oracle = run(1);
+    let oracle = run_walk(1, false);
     // 40 recurring firings + the far-future one-shot, all preserved
     // across every re-homing.
     assert_eq!(oracle.0.len(), 41, "oracle timer count: {:?}", oracle.0.len());
     for shards in [2usize, 4, 8] {
-        assert_eq!(run(shards), oracle, "shards {shards}: handoff broke the timer stream");
+        assert_eq!(
+            run_walk(shards, false),
+            oracle,
+            "shards {shards}: handoff broke the timer stream"
+        );
+    }
+}
+
+/// The same walk with node 0 moved alone by `set_position`: a single
+/// move must hand the node and its queued timers off exactly like the
+/// bulk mobility tick does.
+#[test]
+fn single_node_move_carries_queued_timers_across_shards() {
+    let oracle = run_walk(1, false);
+    assert_eq!(run_walk(1, true), oracle, "the oracle's single move diverged from its bulk move");
+    for shards in [2usize, 4, 8] {
+        assert_eq!(run_walk(shards, true), oracle, "shards {shards}: single-node handoff diverged");
     }
 }
 
@@ -368,21 +395,15 @@ fn more_shards_than_nodes_is_harmless() {
 }
 
 /// Cross-shard envelope batching (one coalesced, bulk-sorted transfer
-/// per (window, destination) pair) against the unbatched reference
-/// path (per-envelope scheduling in arrival order): both must match
-/// each other — and the oracle — in every observable. Content-derived
-/// event keys make transfer grouping invisible; this pins it.
+/// per (window, destination) pair) must match the oracle in every
+/// observable. Content-derived event keys make transfer grouping
+/// invisible; this pins it.
 #[test]
 fn envelope_batching_is_trace_invisible() {
     for seed in [2u64, 0xABCD] {
         for shards in [2usize, 4] {
             let oracle = run_trace(0, seed, 24);
-            let batched = run_trace_opts(shards, seed, 24, true, 1);
-            let unbatched = run_trace_opts(shards, seed, 24, false, 1);
-            assert_eq!(
-                batched, unbatched,
-                "seed {seed} shards {shards}: batching changed an observable"
-            );
+            let batched = run_trace_opts(shards, seed, 24, 1);
             assert_eq!(batched, oracle, "seed {seed} shards {shards}: diverged from the oracle");
         }
     }
@@ -451,7 +472,7 @@ proptest! {
     ) {
         let shards = [2usize, 4, 8][shard_sel];
         let oracle = run_trace(0, seed, n);
-        let sharded = run_trace_opts(shards, seed, n, true, region);
+        let sharded = run_trace_opts(shards, seed, n, region);
         prop_assert_eq!(&sharded.0, &oracle.0, "traces diverged: seed {} n {} shards {}", seed, n, shards);
         prop_assert_eq!(&sharded.1, &oracle.1, "timer logs diverged: seed {} n {} shards {}", seed, n, shards);
         prop_assert_eq!(sharded.2, oracle.2, "metrics diverged: seed {} n {} shards {}", seed, n, shards);
