@@ -1,9 +1,8 @@
 //! Criterion version of Table IV: basic symmetric operations.
 //!
 //! The `/table` rows time the T-table AES backend next to the default
-//! S-box oracle, `/midstate` times profile-key completion from a cached
-//! SHA-256 midstate, and `sha256_many` times the 4-way interleaved bulk
-//! hasher (see `docs/CRYPTO.md`).
+//! S-box oracle, and `/midstate` times profile-key completion from a
+//! cached SHA-256 midstate (see `docs/CRYPTO.md`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use msb_bignum::{BigUint, PrimeField};
@@ -38,13 +37,6 @@ fn bench_table4(c: &mut Criterion) {
     let full: Vec<u8> = [&[0xab; 64][..], &suffix].concat();
     group.bench_function("sha256_attribute/oneshot_96", |b| {
         b.iter(|| black_box(Sha256::digest(black_box(&full))))
-    });
-
-    // Bulk attribute hashing: 8 equal-length canonical forms through the
-    // 4-way interleaved compressor (reported per call, i.e. 8 digests).
-    let many: Vec<&[u8]> = vec![attr; 8];
-    group.bench_function("sha256_many", |b| {
-        b.iter(|| black_box(Sha256::digest_many(black_box(&many))))
     });
 
     let h = BigUint::from_be_bytes(&Sha256::digest(attr));

@@ -13,13 +13,13 @@
 //! 8 nearest) until the request expires at the 40 s horizon. Reported
 //! per run: wall-clock, total and per-shard event counts, per-shard
 //! node counts, messages, match count — and for sharded rows the
-//! memory story of the halo refactor: `bytes_per_node` (the largest
-//! shard's resident engine bytes — halo fragment + node-state arena —
-//! over the swarm size, which *drops* as shards are added because each
-//! core holds only its owned tiles plus a fringe), the shared global
-//! topology's bytes (held once, whatever the shard count), and the
-//! cross-shard envelope-batching counters (`batch.envelopes` over
-//! `batch.sends` = envelopes moved per coalesced transfer).
+//! memory split: `bytes_per_node` (the largest shard's resident engine
+//! bytes — its node-state arena — over the swarm size, which *drops*
+//! as shards are added because each core holds only the nodes it
+//! owns), the shared global topology's bytes (held once, whatever the
+//! shard count), and the cross-shard envelope-batching counters
+//! (`batch.envelopes` over `batch.sends` = envelopes moved per
+//! coalesced transfer).
 //!
 //! Regenerate with
 //! `cargo run -p msb-bench --release --bin fig10_shards`; `--json`
@@ -54,7 +54,7 @@ struct RunResult {
     metrics: Metrics,
     shard_events: Vec<u64>,
     shard_nodes: Vec<usize>,
-    /// Largest per-shard resident engine bytes (halo + arena); 0 for
+    /// Largest per-shard resident engine bytes (the node arena); 0 for
     /// the oracle, whose footprint is the one global topology.
     resident_shard_max: u64,
     /// Resident bytes of the shared global topology snapshot.

@@ -1,8 +1,8 @@
 //! Table IV — mean computation time of the basic symmetric operations,
 //! measured on this machine and printed next to the paper's laptop and
 //! phone numbers, plus the fast-path variants (T-table AES, SHA-256
-//! midstate completion, 4-way bulk hashing) added for the raw-speed
-//! crypto hot paths (see `docs/CRYPTO.md`).
+//! midstate completion) added for the raw-speed crypto hot paths (see
+//! `docs/CRYPTO.md`).
 //!
 //! Regenerate with `cargo run -p msb-bench --bin table4_ops --release`
 //! (or `cargo bench -p msb-bench --bench table4_ops` for the Criterion
@@ -56,11 +56,6 @@ fn main() {
         std::hint::black_box(h.finalize());
     })
     .mean_ms;
-    let many: Vec<&[u8]> = vec![attr; 8];
-    let many_ms = time_stats(100, 2_000, || {
-        std::hint::black_box(Sha256::digest_many(&many));
-    })
-    .mean_ms;
 
     let fast_rows = vec![
         vec![
@@ -77,11 +72,6 @@ fn main() {
             "SHA-256 key via midstate".to_string(),
             fmt_ms(midstate_ms),
             format!("{:.2}x vs one-shot attr", measured.h_ms / midstate_ms),
-        ],
-        vec![
-            "SHA-256 bulk x8 (per call)".to_string(),
-            fmt_ms(many_ms),
-            format!("{:.2}x vs 8 one-shots", 8.0 * measured.h_ms / many_ms),
         ],
     ];
     print_table(

@@ -154,7 +154,7 @@ fn swarm_apps(
 }
 
 /// Builds a friending swarm over `positions` on the single-threaded
-/// engine; see [`swarm_apps`] for the scenario shape.
+/// engine; see `swarm_apps` for the scenario shape.
 ///
 /// # Panics
 ///
@@ -251,9 +251,9 @@ pub struct ChurnSpec {
     pub shards: usize,
     /// Hex tiles per shard-partition region side
     /// ([`SimConfig::region_tiles`]): larger regions give each shard a
-    /// contiguous neighborhood, shrinking its halo fringe relative to
-    /// its interior. Speed/memory only — outcomes are bit-identical at
-    /// any value.
+    /// contiguous neighborhood with fewer seams, hence fewer
+    /// cross-shard envelopes and handoffs. Speed only — outcomes are
+    /// bit-identical at any value.
     pub region_tiles: usize,
 }
 

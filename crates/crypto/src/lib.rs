@@ -11,7 +11,7 @@
 //! # Modules
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256, incremental and one-shot, with
-//!   midstate cloning and 4-way multi-buffer [`sha256::Sha256::digest_many`].
+//!   midstate cloning ([`sha256::Sha256::finalize_suffix`]).
 //! * [`aes`] — FIPS 197 AES-128/AES-256 with two selectable backends
 //!   ([`aes::CipherBackend`]): the S-box differential oracle (default)
 //!   and a T-table backend with the equivalent-inverse-cipher decrypt

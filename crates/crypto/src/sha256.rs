@@ -5,20 +5,13 @@
 //! Sealed Bottle mechanism (paper Eq. 2) and the profile-key derivation
 //! (Eq. 3) are both instances of this function.
 //!
-//! Two throughput features serve the candidate-enumeration hot loop
-//! (see `docs/CRYPTO.md`):
-//!
-//! * **Midstate caching.** [`Sha256`] is `Clone` with no heap state
-//!   (104 bytes), and the *midstate contract* holds: cloning a hasher
-//!   after absorbing a prefix and then absorbing a suffix yields exactly
-//!   the digest of the concatenation. A fixed per-profile prefix is
-//!   therefore absorbed once and each candidate pays only its final
-//!   compressions ([`Sha256::finalize_suffix`]).
-//! * **Multi-buffer hashing.** [`Sha256::digest_many`] compresses four
-//!   independent equal-length messages in lockstep
-//!   (4 interleaved dependency chains, which the compiler can map onto
-//!   4-lane vector registers), falling back to serial hashing for
-//!   ragged tails.
+//! **Midstate caching** serves the candidate-enumeration hot loop (see
+//! `docs/CRYPTO.md`): [`Sha256`] is `Clone` with no heap state
+//! (104 bytes), and the *midstate contract* holds: cloning a hasher
+//! after absorbing a prefix and then absorbing a suffix yields exactly
+//! the digest of the concatenation. A fixed per-profile prefix is
+//! therefore absorbed once and each candidate pays only its final
+//! compressions ([`Sha256::finalize_suffix`]).
 
 /// Size of a SHA-256 digest in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -98,76 +91,6 @@ impl Sha256 {
             h.update(p);
         }
         h.finalize()
-    }
-
-    /// Digests many independent messages, compressing equal-length runs
-    /// of four in lockstep (multi-buffer hashing). Output order matches
-    /// input order and every digest equals [`Sha256::digest`] of the
-    /// same message.
-    pub fn digest_many(inputs: &[&[u8]]) -> Vec<Digest> {
-        let mut out = Vec::with_capacity(inputs.len());
-        let mut i = 0;
-        while i < inputs.len() {
-            if i + 4 <= inputs.len()
-                && inputs[i + 1..i + 4].iter().all(|m| m.len() == inputs[i].len())
-            {
-                out.extend_from_slice(&Self::digest4([
-                    inputs[i],
-                    inputs[i + 1],
-                    inputs[i + 2],
-                    inputs[i + 3],
-                ]));
-                i += 4;
-            } else {
-                out.push(Self::digest(inputs[i]));
-                i += 1;
-            }
-        }
-        out
-    }
-
-    /// Digests four equal-length messages with interleaved compression.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the messages are not all the same length (the lockstep
-    /// schedule requires identical block and padding structure).
-    pub fn digest4(msgs: [&[u8]; 4]) -> [Digest; 4] {
-        let len = msgs[0].len();
-        assert!(msgs.iter().all(|m| m.len() == len), "digest4 requires equal-length messages");
-        let mut states = [H0; 4];
-        let full = len / BLOCK_LEN;
-        for b in 0..full {
-            let at = b * BLOCK_LEN;
-            compress4(
-                &mut states,
-                [&msgs[0][at..], &msgs[1][at..], &msgs[2][at..], &msgs[3][at..]],
-            );
-        }
-        // Identical padding for all lanes: remainder + 0x80 + zeros +
-        // 64-bit bit length, one or two tail blocks.
-        let rem = len % BLOCK_LEN;
-        let bit_len = (len as u64).wrapping_mul(8);
-        let mut tails = [[0u8; BLOCK_LEN]; 4];
-        for (lane, tail) in tails.iter_mut().enumerate() {
-            tail[..rem].copy_from_slice(&msgs[lane][len - rem..]);
-            tail[rem] = 0x80;
-        }
-        if rem + 1 > 56 {
-            compress4(&mut states, [&tails[0], &tails[1], &tails[2], &tails[3]]);
-            tails = [[0u8; BLOCK_LEN]; 4];
-        }
-        for tail in tails.iter_mut() {
-            tail[56..].copy_from_slice(&bit_len.to_be_bytes());
-        }
-        compress4(&mut states, [&tails[0], &tails[1], &tails[2], &tails[3]]);
-        core::array::from_fn(|lane| {
-            let mut out = [0u8; DIGEST_LEN];
-            for (i, word) in states[lane].iter().enumerate() {
-                out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-            }
-            out
-        })
     }
 
     /// Absorbs `data` into the hash state.
@@ -274,105 +197,6 @@ impl Sha256 {
     }
 }
 
-/// A row of four u32 lanes — one schedule word or working variable per
-/// interleaved message. Whole-row operations below are the shape LLVM's
-/// auto-vectorizer maps onto a single 4×u32 vector register on
-/// SSE2/NEON-class hardware.
-type Row = [u32; 4];
-
-#[inline(always)]
-fn add4(a: Row, b: Row) -> Row {
-    [
-        a[0].wrapping_add(b[0]),
-        a[1].wrapping_add(b[1]),
-        a[2].wrapping_add(b[2]),
-        a[3].wrapping_add(b[3]),
-    ]
-}
-
-#[inline(always)]
-fn xor4(a: Row, b: Row) -> Row {
-    [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]]
-}
-
-#[inline(always)]
-fn and4(a: Row, b: Row) -> Row {
-    [a[0] & b[0], a[1] & b[1], a[2] & b[2], a[3] & b[3]]
-}
-
-#[inline(always)]
-fn rotr4(x: Row, n: u32) -> Row {
-    [x[0].rotate_right(n), x[1].rotate_right(n), x[2].rotate_right(n), x[3].rotate_right(n)]
-}
-
-#[inline(always)]
-fn shr4(x: Row, n: u32) -> Row {
-    [x[0] >> n, x[1] >> n, x[2] >> n, x[3] >> n]
-}
-
-/// Compresses one 64-byte block into each of four lane states in
-/// lockstep. All arithmetic is expressed as whole-[`Row`] operations
-/// (straight-line, no lane indexing in the hot loops) so the four
-/// independent dependency chains vectorize. Each `blocks[lane]` must be
-/// at least [`BLOCK_LEN`] bytes; only the first block is consumed.
-fn compress4(states: &mut [[u32; 8]; 4], blocks: [&[u8]; 4]) {
-    // Message schedule, stored lane-contiguous (w[i] = the 4 lanes of
-    // schedule word i).
-    let mut w = [[0u32; 4]; 64];
-    for (i, word) in w.iter_mut().take(16).enumerate() {
-        for lane in 0..4 {
-            let block = blocks[lane];
-            word[lane] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-    }
-    for i in 16..64 {
-        let x = w[i - 15];
-        let y = w[i - 2];
-        let s0 = xor4(xor4(rotr4(x, 7), rotr4(x, 18)), shr4(x, 3));
-        let s1 = xor4(xor4(rotr4(y, 17), rotr4(y, 19)), shr4(y, 10));
-        w[i] = add4(add4(w[i - 16], s0), add4(w[i - 7], s1));
-    }
-
-    // Working variables as row-valued locals; the a..h rotation is pure
-    // register renaming instead of array shuffles.
-    let mut a: Row = core::array::from_fn(|l| states[l][0]);
-    let mut b: Row = core::array::from_fn(|l| states[l][1]);
-    let mut c: Row = core::array::from_fn(|l| states[l][2]);
-    let mut d: Row = core::array::from_fn(|l| states[l][3]);
-    let mut e: Row = core::array::from_fn(|l| states[l][4]);
-    let mut f: Row = core::array::from_fn(|l| states[l][5]);
-    let mut g: Row = core::array::from_fn(|l| states[l][6]);
-    let mut h: Row = core::array::from_fn(|l| states[l][7]);
-    for i in 0..64 {
-        let s1 = xor4(xor4(rotr4(e, 6), rotr4(e, 11)), rotr4(e, 25));
-        let ch = xor4(and4(e, f), and4([!e[0], !e[1], !e[2], !e[3]], g));
-        let k = [K[i]; 4];
-        let t1 = add4(add4(add4(h, s1), add4(ch, k)), w[i]);
-        let s0 = xor4(xor4(rotr4(a, 2), rotr4(a, 13)), rotr4(a, 22));
-        let maj = xor4(xor4(and4(a, b), and4(a, c)), and4(b, c));
-        let t2 = add4(s0, maj);
-        h = g;
-        g = f;
-        f = e;
-        e = add4(d, t1);
-        d = c;
-        c = b;
-        b = a;
-        a = add4(t1, t2);
-    }
-    let rows = [a, b, c, d, e, f, g, h];
-    for (lane, state) in states.iter_mut().enumerate() {
-        for (r, word) in state.iter_mut().enumerate() {
-            *word = word.wrapping_add(rows[r][lane]);
-        }
-    }
-}
-
 /// Formats a digest as lowercase hex, handy for test vectors and debugging.
 pub fn to_hex(digest: &[u8]) -> String {
     digest.iter().map(|b| format!("{b:02x}")).collect()
@@ -472,40 +296,6 @@ mod tests {
             fork.update(&data[cut..]);
             assert_eq!(fork.finalize(), Sha256::digest(&data), "cut {cut}");
         }
-    }
-
-    #[test]
-    fn digest4_matches_serial() {
-        for len in [0usize, 1, 19, 32, 55, 56, 63, 64, 65, 120, 128, 200] {
-            let msgs: Vec<Vec<u8>> = (0..4u8)
-                .map(|lane| {
-                    (0..len).map(|i| (i as u8).wrapping_mul(3).wrapping_add(lane)).collect()
-                })
-                .collect();
-            let got = Sha256::digest4([&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
-            for lane in 0..4 {
-                assert_eq!(got[lane], Sha256::digest(&msgs[lane]), "len {len} lane {lane}");
-            }
-        }
-    }
-
-    #[test]
-    fn digest_many_matches_map_mixed_lengths() {
-        // Equal-length runs, ragged tails, and length changes mid-list.
-        let msgs: Vec<Vec<u8>> = (0..11)
-            .map(|i| {
-                let len = match i {
-                    0..=3 => 19, // one 4-lane batch
-                    4..=7 => 70, // another batch, two blocks each
-                    _ => 5 + i,  // ragged tail, serial
-                };
-                (0..len).map(|j| (i * 41 + j) as u8).collect()
-            })
-            .collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let got = Sha256::digest_many(&refs);
-        let expect: Vec<Digest> = msgs.iter().map(|m| Sha256::digest(m)).collect();
-        assert_eq!(got, expect);
     }
 
     #[test]

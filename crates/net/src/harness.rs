@@ -6,7 +6,7 @@
 //! client, a relay loop, a test driver) decides when a message
 //! arrives and must see what the app wants transmitted. [`AppHarness`]
 //! is that adapter: it hosts one app with the **same per-node RNG
-//! derivation the simulator uses** ([`NodeState`]'s
+//! derivation the simulator uses** (`NodeState`'s
 //! `node_rng_seed(seed, node)` stream), absorbs timer actions into the
 //! engine's own [`Scheduler`], keyed by the node's emission counter as
 //! the simulator keys them, which the caller fires explicitly, and

@@ -67,7 +67,6 @@
 mod arena;
 pub mod flood;
 pub mod guard;
-mod halo;
 pub mod harness;
 pub mod mobility;
 pub mod payload;

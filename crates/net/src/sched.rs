@@ -387,7 +387,7 @@ const RESIZE_CHECK_EVERY: u32 = 512;
 const RESIZE_FACTOR: u64 = 8;
 
 /// The hierarchical calendar-queue engine. See the module docs for the
-/// design; in short: a ring of [`RING_SLOTS`] buckets of
+/// design; in short: a ring of `RING_SLOTS` buckets of
 /// [`CalendarScheduler::bucket_width_us`] each holds the near future
 /// (located through an occupancy bitmap), a `BinaryHeap` overflow holds
 /// everything beyond the ring's window, and the bucket at the current
@@ -581,7 +581,9 @@ impl<T> CalendarScheduler<T> {
     /// rebuild the ring if the observed spacing has drifted a factor of
     /// [`RESIZE_FACTOR`] away from the current width.
     fn observe_pop(&mut self, at_us: u64) {
-        let gap = at_us - self.last_pop_at; // pops are time-monotone
+        // Saturating: the API lets a caller schedule before the last
+        // popped instant, and that entry pops next (gap 0).
+        let gap = at_us.saturating_sub(self.last_pop_at);
         self.last_pop_at = at_us;
         self.gap_ema_x8 = self.gap_ema_x8 - self.gap_ema_x8 / 8 + gap;
         self.pops_since_check += 1;

@@ -11,31 +11,28 @@
 //! L = the lookahead) — any event one shard sends another lands at
 //! `≥ t₀ + L`, strictly beyond the window.
 //!
-//! # Memory model: one shared world, per-shard halos
+//! # Memory model: one shared topology, per-shard node arenas
 //!
-//! The coordinator owns **one** global [`Topology`] (positions + hex
+//! The coordinator owns **one** global `Topology` (positions + hex
 //! index). Positions change only at quiesce points, so worker cores
-//! borrow it read-only during windows for the queries that legitimately
-//! span the plane — unicast BFS routing and connected components. The
-//! hot neighborhood queries (broadcast targets, fan-out-capped
-//! k-nearest) are instead answered from each core's private
-//! [`HaloIndex`]: exact positions for the cells covering the tiles the
-//! core owns plus a one-radio-range fringe, rebuilt by the coordinator
-//! at every quiesce point. Per-shard resident topology is therefore
-//! O(owned tiles + fringe), not O(n) — the old full per-core replica is
-//! gone — and node state lives in a compact [`NodeArena`] whose
-//! footprint tracks the shard's peak population. Cross-shard envelopes
-//! are **batched**: a core accumulates one outbox per destination
-//! shard, the window barrier moves each batch as a single transfer, and
-//! the receiver bulk-sorts it by the existing `(at_us, key)` content
-//! order ([`crate::sched::Scheduler::schedule_all`]).
+//! borrow it read-only during windows and answer every neighbor query
+//! from it — broadcast targets, fan-out-capped k-nearest, unicast BFS
+//! routing — each core with its own scratch buffers, through the very
+//! calls a lone shard (and so [`Simulator`](crate::sim::Simulator))
+//! makes. Per-shard resident state is the node-state arena: the owned
+//! nodes' apps, RNG streams and emission counters, whose footprint
+//! tracks the shard's peak population. Cross-shard envelopes are
+//! **batched**: a core accumulates one outbox per destination shard,
+//! the window barrier moves each batch as a single transfer, and the
+//! receiver bulk-sorts it by the existing `(at_us, key)` content order
+//! ([`crate::sched::Scheduler::schedule_all`]).
 //!
 //! The engine remains **bit-identical to the single-threaded
-//! [`Simulator`]** at every shard count: same matches, same event
-//! totals, same final clock, same merged [`Metrics`] (modulo
-//! [`Metrics::peak_queue_len`], a per-queue high-water mark — see
-//! [`Metrics::without_queue_pressure`]). This follows from the
-//! determinism contract (`docs/SIM.md` §1 and §6):
+//! [`Simulator`](crate::sim::Simulator)** at every shard count: same
+//! matches, same event totals, same final clock, same merged
+//! [`Metrics`] (modulo [`Metrics::peak_queue_len`], a per-queue
+//! high-water mark — see [`Metrics::without_queue_pressure`]). This
+//! follows from the determinism contract (`docs/SIM.md` §1 and §6):
 //!
 //! * every event is keyed by *content* (`(source, emission counter)`),
 //!   so each node processes its own events in an order independent of
@@ -43,12 +40,9 @@
 //! * randomness is *per-node*, drawn on the emitting node in its
 //!   processing order, so draws never depend on other nodes' schedules;
 //! * positions change only at quiesce points
-//!   ([`ShardedSimulator::set_positions`]), so the shared topology and
-//!   every halo are exact all window long, and a halo-served query
-//!   gathers the identical candidate set (same ids, same order, same
-//!   `cells_scanned`) as the oracle's global index — the cover a query
-//!   scans depends only on the querying node's cell, and the halo holds
-//!   every cell any owned cell's cover can reach (see [`crate::halo`]).
+//!   ([`ShardedSimulator::set_positions`]), so the shared topology is
+//!   exact all window long, and every core's neighbor query is the
+//!   oracle's own query against the same data.
 //!
 //! Mobility may carry a node onto a tile owned by a different shard;
 //! the quiesce-point rebalance then *hands off* the node — its
@@ -65,17 +59,16 @@
 //! micro-scenarios up to full friending swarms.
 
 use crate::arena::NodeArena;
-use crate::halo::HaloIndex;
 use crate::payload::Payload;
 use crate::sched::{AnyScheduler, EventKey, ScheduledEvent, Scheduler};
 use crate::sim::{
     draw_latency, roll_loss, splitmix64, Action, EventKind, Metrics, NodeApp, NodeCtx, NodeId,
-    NodeState, SimConfig, SimDriver, SpatialMode,
+    NodeState, SimConfig, SimDriver,
 };
 use crate::topo::{distance, TopoScratch, Topology};
 use msb_lattice::{LatticeConfig, LatticePoint};
 use msb_telemetry::{Recorder, TraceTag};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// The coordinator-owned world state a core borrows read-only for the
@@ -89,17 +82,11 @@ struct WorldRef<'a> {
 }
 
 /// One engine core owning a subset of the nodes: its own event queue,
-/// its own metrics, its halo topology fragment, and the per-node state
-/// (app + RNG + emission counter) of every node it currently owns.
+/// its own metrics, and the per-node state (app + RNG + emission
+/// counter) of every node it currently owns.
 struct ShardCore<A> {
     shard: u32,
     config: SimConfig,
-    /// Owned-tiles + fringe neighborhood index, `Some` under
-    /// [`SpatialMode::HexIndex`] with more than one shard. Refreshed by
-    /// the coordinator at quiesce points; serves broadcast/k-nearest.
-    /// `None` (naive scan, or a lone shard) routes those queries to
-    /// the shared global topology instead.
-    halo: Option<HaloIndex>,
     /// State of the nodes this core owns, in arena slots.
     states: NodeArena<NodeState<A>>,
     queue: AnyScheduler<EventKind>,
@@ -112,7 +99,7 @@ struct ShardCore<A> {
     targets_buf: Vec<(u32, f64)>,
     knear_buf: Vec<u32>,
     /// Reusable buffers for queries against the shared global topology
-    /// (BFS routing, naive-scan broadcasts).
+    /// (broadcast targets, k-nearest, BFS routing).
     scratch: TopoScratch,
     /// Per-core observability sink (off by default). Owned by the core
     /// so parallel windows record without any cross-thread contention;
@@ -127,12 +114,9 @@ struct ShardCore<A> {
 
 impl<A: NodeApp> ShardCore<A> {
     fn new(shard: u32, config: SimConfig, shards: usize) -> Self {
-        let halo = (shards > 1 && config.spatial == SpatialMode::HexIndex)
-            .then(|| HaloIndex::new(&config));
         ShardCore {
             shard,
             config,
-            halo,
             states: NodeArena::default(),
             queue: AnyScheduler::for_mode(config.scheduler),
             now_us: 0,
@@ -334,18 +318,12 @@ impl<A: NodeApp> ShardCore<A> {
         self.metrics.broadcasts += 1;
         self.metrics.payload_bytes += payload.wire_len() as u64;
         let mut targets = std::mem::take(&mut self.targets_buf);
-        match &mut self.halo {
-            Some(halo) => {
-                let src = world.topo.position(from.index());
-                halo.broadcast_targets(&mut self.metrics, from.0, src, &mut targets);
-            }
-            None => world.topo.broadcast_targets(
-                &mut self.scratch,
-                &mut self.metrics,
-                from.index(),
-                &mut targets,
-            ),
-        }
+        world.topo.broadcast_targets(
+            &mut self.scratch,
+            &mut self.metrics,
+            from.index(),
+            &mut targets,
+        );
         for &(i, dist) in &targets {
             let sender = self.states.get_mut(from.0).expect("broadcasting node is owned");
             if roll_loss(&self.config, &mut sender.rng) {
@@ -369,16 +347,7 @@ impl<A: NodeApp> ShardCore<A> {
         self.metrics.payload_bytes += payload.wire_len() as u64;
         let mut cand = std::mem::take(&mut self.knear_buf);
         let src = world.topo.position(from.index());
-        match &mut self.halo {
-            Some(halo) => halo.k_nearest(&mut self.metrics, from.0, src, k, &mut cand),
-            None => world.topo.k_nearest(
-                &mut self.scratch,
-                &mut self.metrics,
-                from.index(),
-                k,
-                &mut cand,
-            ),
-        }
+        world.topo.k_nearest(&mut self.scratch, &mut self.metrics, from.index(), k, &mut cand);
         for &i in &cand {
             let dist = distance(src, world.topo.position(i as usize));
             let sender = self.states.get_mut(from.0).expect("broadcasting node is owned");
@@ -406,8 +375,6 @@ impl<A: NodeApp> ShardCore<A> {
             self.push_local(at, key, EventKind::Deliver { to, from, payload });
             return;
         }
-        // A route legitimately spans the whole plane, so BFS reads the
-        // shared global topology (read-only; this core's scratch).
         let Some(path) = world.topo.shortest_path(
             &mut self.scratch,
             &mut self.metrics,
@@ -481,8 +448,9 @@ struct Reply {
 
 /// The sharded parallel engine: coordinator over per-shard cores. See
 /// the module docs for the synchronization, memory, and determinism
-/// contract; the public surface mirrors [`Simulator`] so harnesses
-/// drive either through [`SimDriver`].
+/// contract; the public surface mirrors
+/// [`Simulator`](crate::sim::Simulator) so harnesses drive either
+/// through [`SimDriver`].
 pub struct ShardedSimulator<A: NodeApp> {
     config: SimConfig,
     seed: u64,
@@ -496,13 +464,6 @@ pub struct ShardedSimulator<A: NodeApp> {
     /// Node → owning shard (the coordinator's authoritative table,
     /// shared read-only with workers during windows).
     owner: Vec<u32>,
-    /// Cell → halo shard set, memoized: which shards need this cell in
-    /// their halo is pure geometry (cover of the cell's center at radio
-    /// range, mapped through the region hash), so it never invalidates.
-    halo_cache: HashMap<LatticePoint, Vec<u32>>,
-    /// Set whenever positions or membership changed; the next run/start
-    /// rebuilds every halo.
-    halo_dirty: bool,
     now_us: u64,
     ext_seq: u64,
     /// Coordinator-side sink: quiesce/handoff events (recorded between
@@ -549,8 +510,6 @@ impl<A: NodeApp> ShardedSimulator<A> {
             topo: Topology::new(&core_config),
             cores: (0..shards).map(|i| ShardCore::new(i as u32, core_config, shards)).collect(),
             owner: Vec::new(),
-            halo_cache: HashMap::new(),
-            halo_dirty: false,
             now_us: 0,
             ext_seq: 0,
             telemetry: Recorder::off(),
@@ -602,7 +561,6 @@ impl<A: NodeApp> ShardedSimulator<A> {
         self.owner.push(shard);
         self.topo.push(position);
         self.cores[shard as usize].states.insert(id.0, NodeState::new(app, self.seed, id.0));
-        self.halo_dirty = true;
         id
     }
 
@@ -650,16 +608,13 @@ impl<A: NodeApp> ShardedSimulator<A> {
         counts
     }
 
-    /// Per-shard resident engine bytes, by shard index: the halo
-    /// topology fragment plus the node-state arena's slot storage —
-    /// the O(owned tiles + fringe) footprint the halo refactor bounds
-    /// (application-internal heap, e.g. message stores, is not
-    /// visible from here). Deterministic, length/capacity based.
+    /// Per-shard resident engine bytes, by shard index: the node-state
+    /// arena's slot storage, which tracks the shard's owned population
+    /// (the topology is shared, see [`Self::shared_topology_bytes`];
+    /// application-internal heap, e.g. message stores, is not visible
+    /// from here). Deterministic, length/capacity based.
     pub fn shard_resident_bytes(&self) -> Vec<u64> {
-        self.cores
-            .iter()
-            .map(|c| c.halo.as_ref().map_or(0, |h| h.resident_bytes()) + c.states.resident_bytes())
-            .collect()
+        self.cores.iter().map(|c| c.states.resident_bytes()).collect()
     }
 
     /// Resident bytes of the *shared* world topology (positions + hex
@@ -688,7 +643,6 @@ impl<A: NodeApp> ShardedSimulator<A> {
     /// Calls `on_start` on every node (in id order), then routes the
     /// resulting cross-shard emissions.
     pub fn start(&mut self) {
-        self.refresh_halos();
         for i in 0..self.owner.len() {
             self.callback(NodeId(i as u32), |app, ctx| app.on_start(ctx));
         }
@@ -757,7 +711,6 @@ impl<A: NodeApp> ShardedSimulator<A> {
     /// quiesce points (never mid-`run_until`).
     pub fn set_position(&mut self, id: NodeId, position: (f64, f64)) {
         self.topo.set_position(id.index(), position);
-        self.halo_dirty = true;
         self.rehome_all();
     }
 
@@ -774,73 +727,7 @@ impl<A: NodeApp> ShardedSimulator<A> {
         // A quiesce point: release index capacity churn left behind
         // (same hygiene, same spot, as the oracle engine).
         self.topo.compact();
-        self.halo_dirty = true;
         self.rehome_all();
-    }
-
-    /// Rebuilds every core's halo from the shared topology — called at
-    /// quiesce points, where positions and ownership are frozen. Each
-    /// node is pushed (in ascending id order, keeping halo buckets
-    /// sorted) into the halo of every shard whose owned cells' query
-    /// covers can reach the node's cell; that shard set is pure
-    /// geometry per cell and memoized in [`ShardedSimulator::halo_cache`].
-    /// Also records the per-shard residency gauges
-    /// (`shard.topo.resident_bytes`, `shard.halo.tiles`) — coordinator
-    /// side, cores idle, so the series are deterministic.
-    fn refresh_halos(&mut self) {
-        if !self.halo_dirty {
-            return;
-        }
-        self.halo_dirty = false;
-        if self.cores.iter().all(|c| c.halo.is_none()) {
-            return;
-        }
-        let topo = &self.topo;
-        let cores = &mut self.cores;
-        let halo_cache = &mut self.halo_cache;
-        let index = topo.index().expect("halos exist only under HexIndex");
-        let region = self.config.region_tiles.max(1) as i64;
-        let shards = cores.len() as u64;
-        let lattice = *index.lattice();
-        let radio = self.config.radio_range;
-        for core in cores.iter_mut() {
-            if let Some(halo) = &mut core.halo {
-                halo.begin_refresh();
-            }
-        }
-        let mut cover: Vec<LatticePoint> = Vec::new();
-        for id in 0..topo.len() as u32 {
-            let cell = index.cell_of(id);
-            let pos = topo.position(id as usize);
-            let targets = halo_cache.entry(cell).or_insert_with(|| {
-                // Which shards can query into `cell`: the owners of
-                // every cell whose full-range cover reaches it. The
-                // cover relation is symmetric (it depends only on the
-                // cell-center distance), so this equals the cover *of*
-                // `cell`, mapped through the region hash.
-                lattice.cells_covering_into(lattice.point_xy(cell), radio, &mut cover);
-                let mut set: Vec<u32> =
-                    cover.iter().map(|&c| region_owner(region, shards, c)).collect();
-                set.sort_unstable();
-                set.dedup();
-                set
-            });
-            for &s in targets.iter() {
-                let halo = cores[s as usize].halo.as_mut().expect("all-or-none halos");
-                halo.push(cell, id, pos);
-            }
-        }
-        for core in cores.iter_mut() {
-            if let Some(halo) = &mut core.halo {
-                halo.end_refresh();
-                core.telemetry.gauge_max(
-                    "shard.topo.resident_bytes",
-                    core.shard,
-                    halo.resident_bytes(),
-                );
-                core.telemetry.gauge_max("shard.halo.tiles", core.shard, halo.tiles() as u64);
-            }
-        }
     }
 
     /// The re-homing pass behind [`Self::set_positions`] and
@@ -980,8 +867,8 @@ impl<A: NodeApp + Send> ShardedSimulator<A> {
     ///    processing `≤ horizon` lands at `≥ t₀ + L > horizon`, so no
     ///    shard can receive an event inside a window it already passed;
     /// 3. all shards ingest their inbound envelope batch and process
-    ///    their window **in parallel**, reading the shared topology and
-    ///    their private halos (both frozen until the next quiesce);
+    ///    their window **in parallel**, reading the shared topology
+    ///    (frozen until the next quiesce);
     /// 4. barrier: per-destination outbox batches move to their
     ///    destination shards for the next window — one transfer per
     ///    (window, destination) pair.
@@ -992,7 +879,6 @@ impl<A: NodeApp + Send> ShardedSimulator<A> {
         if n == 1 {
             return self.run_inline(deadline.unwrap_or(u64::MAX));
         }
-        self.refresh_halos();
         let lookahead = self.config.base_latency_us;
         let mut nexts: Vec<Option<u64>> =
             self.cores.iter_mut().map(|core| core.next_time()).collect();

@@ -151,12 +151,11 @@ pub struct SimConfig {
     /// `region_tiles × region_tiles` block of tiles rather than per
     /// tile. `1` (the default) reproduces the historical per-tile hash
     /// exactly. Larger regions give each shard spatially contiguous
-    /// territory, which shrinks its halo fringe (neighbor tiles owned
-    /// by *other* shards) and therefore its resident topology memory —
-    /// the churn scenarios (`ChurnSpec::standard`) set 4. Another
-    /// speed/memory-only knob: the event stream is bit-identical at
-    /// any value (the differential suites sweep it). Ignored when
-    /// `shards == 1`.
+    /// territory with fewer seams (tile borders with *other* shards),
+    /// hence fewer cross-shard envelopes and fewer mobility handoffs —
+    /// the churn scenarios (`ChurnSpec::standard`) set 4. A speed-only
+    /// knob: the event stream is bit-identical at any value (the
+    /// differential suites sweep it). Ignored when `shards == 1`.
     pub region_tiles: usize,
 }
 
@@ -480,8 +479,9 @@ pub trait SimDriver {
 ///
 /// It is the one-shard configuration of that same engine: one core
 /// owns every node, the one event queue and the [`Metrics`], and runs
-/// inline on the caller's thread (so apps need not be `Send`). There
-/// are no windows, halos, handoffs or envelope batches — the machinery
+/// inline on the caller's thread (so apps need not be `Send`), asking
+/// the shared topology the same neighbor queries a shard core asks.
+/// There are no windows, handoffs or envelope batches — the machinery
 /// the N-shard runs are compared against it for.
 /// [`SimConfig::shards`] is ignored.
 pub struct Simulator<A: NodeApp> {

@@ -110,13 +110,6 @@ impl SpatialIndex {
         self.cells.len()
     }
 
-    /// The cell node `id` currently occupies — the tile key the sharded
-    /// engine partitions and halos by, read straight from the index so
-    /// halo refresh never re-snaps positions.
-    pub fn cell_of(&self, id: u32) -> LatticePoint {
-        self.node_cell[id as usize]
-    }
-
     /// Estimated resident heap bytes of the index: bucket storage
     /// (capacity, not just length), the per-node cell table, and the
     /// cell map's entry overhead. Computed from lengths and `Vec`
@@ -376,17 +369,6 @@ mod tests {
             idx.candidates_into(&mut SpatialScratch::default(), (0.0, 0.0), 100.0, &mut cand);
         assert!(cand.is_empty());
         assert!(scanned > 0, "cells are scanned even when unoccupied");
-    }
-
-    #[test]
-    fn cell_of_tracks_updates() {
-        let mut idx = SpatialIndex::new(10.0);
-        idx.push((0.0, 0.0));
-        let home = idx.cell_of(0);
-        assert_eq!(home, idx.lattice().snap((0.0, 0.0)));
-        idx.update(0, (100.0, 100.0));
-        assert_eq!(idx.cell_of(0), idx.lattice().snap((100.0, 100.0)));
-        assert_ne!(idx.cell_of(0), home);
     }
 
     #[test]

@@ -66,17 +66,6 @@ impl Topology {
         self.positions[i]
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// The spatial index, when [`SpatialMode::HexIndex`] is active —
-    /// the sharded engine reads tile assignments (`cell_of`) and the
-    /// lattice geometry for halo construction from here.
-    pub(crate) fn index(&self) -> Option<&SpatialIndex> {
-        self.index.as_ref()
-    }
-
     pub(crate) fn set_position(&mut self, i: usize, position: (f64, f64)) {
         self.positions[i] = position;
         if let Some(index) = &mut self.index {

@@ -252,6 +252,31 @@ fn run_trace(mode: SchedulerMode, seed: u64, n: usize) -> TraceOutcome {
     (traces, timers, *sim.metrics(), sim.now_us())
 }
 
+/// A past-dated entry — scheduled before the last popped instant,
+/// which the [`Scheduler`] API allows — pops next on both engines, and
+/// the counters still agree. The random-stream proptest above cannot
+/// produce this script: it schedules relative to the last pop and
+/// asserts time-monotone pops.
+#[test]
+fn past_dated_entries_pop_next_on_both_engines() {
+    let run = |mode: SchedulerMode| {
+        let mut s: AnyScheduler<u32> = AnyScheduler::for_mode(mode);
+        s.schedule(1_000, EventKey::new(0, 0), 0);
+        s.schedule(2_000, EventKey::new(0, 1), 1);
+        s.schedule(3_000, EventKey::new(0, 2), 2);
+        let mut log = vec![s.pop().expect("three pending")];
+        s.schedule(5, EventKey::new(1, 0), 3);
+        s.schedule(500, EventKey::new(1, 1), 4);
+        while let Some(ev) = s.pop() {
+            log.push(ev);
+        }
+        (log, s.len(), s.events_scheduled(), s.peak_len())
+    };
+    let heap = run(SchedulerMode::BinaryHeap);
+    assert_eq!(heap.0, vec![(1_000, 0), (5, 3), (500, 4), (2_000, 1), (3_000, 2)]);
+    assert_eq!(run(SchedulerMode::Calendar), heap);
+}
+
 /// Full-simulation differential: identical traces, timer logs, metrics
 /// (no masking — every field, including the new queue counters, must
 /// agree), and final clock across scheduler modes, under loss, jitter,

@@ -409,13 +409,14 @@ fn envelope_batching_is_trace_invisible() {
     }
 }
 
-/// The seam scenario behind the halo-refresh proptest: a chain of
+/// The seam scenario behind the seam-oscillation proptest: a chain of
 /// nodes sitting just off a lattice seam, mirror-flipped across it
 /// (and crept along it) at every quiesce point, so each mobility tick
 /// re-snaps every node into a different tile — and, at small region
 /// sizes, onto a different shard, queued recurring timers in tow.
-/// Every flip forces a full halo rebuild *and* a mass handoff; the
-/// outcome must still be the oracle's, bit for bit.
+/// Every flip re-buckets every node in the shared spatial index *and*
+/// forces a mass handoff; the outcome must still be the oracle's, bit
+/// for bit.
 fn run_seam(shards: usize, seed: u64, n: usize, region_tiles: usize) -> Outcome {
     let base: Vec<(f64, f64)> = (0..n).map(|i| (30.0 * i as f64, 24.0)).collect();
     let phases: Vec<Vec<(f64, f64)>> = (1..=4u64)
@@ -479,9 +480,9 @@ proptest! {
         prop_assert_eq!(sharded.3, oracle.3, "clock diverged: seed {} n {} shards {}", seed, n, shards);
     }
 
-    /// Halo refresh at tile seams: mirror-flip oscillation across a
-    /// lattice seam at every quiesce point (see [`run_seam`]), swept
-    /// over shard counts and region sizes.
+    /// Mass re-bucketing and handoff at tile seams: mirror-flip
+    /// oscillation across a lattice seam at every quiesce point (see
+    /// [`run_seam`]), swept over shard counts and region sizes.
     #[test]
     fn seam_oscillation_matches_the_oracle(
         seed in any::<u64>(),

@@ -65,15 +65,6 @@ impl Attribute {
     pub fn hash_bound(&self, context: &[u8]) -> AttributeHash {
         AttributeHash(Sha256::digest_parts(&[self.canonical().as_bytes(), b"|", context]))
     }
-
-    /// Hashes a batch of attributes, compressing equal-length canonical
-    /// forms four at a time via [`Sha256::digest_many`]. Output order
-    /// matches input order; each entry equals [`Attribute::hash`].
-    pub fn hash_many<'a>(attrs: impl IntoIterator<Item = &'a Attribute>) -> Vec<AttributeHash> {
-        let canonical: Vec<String> = attrs.into_iter().map(Attribute::canonical).collect();
-        let parts: Vec<&[u8]> = canonical.iter().map(|c| c.as_bytes()).collect();
-        Sha256::digest_many(&parts).into_iter().map(AttributeHash).collect()
-    }
 }
 
 impl fmt::Display for Attribute {

@@ -30,8 +30,8 @@
 //!
 //! ## Work splitting and deterministic parallelism
 //!
-//! The backtracking search is expressed as a [`SearchSpace`] (the
-//! read-only problem description) walked by a [`Cursor`] (one partial
+//! The backtracking search is expressed as a `SearchSpace` (the
+//! read-only problem description) walked by a `Cursor` (one partial
 //! assignment). Every enumeration — sequential or parallel — visits
 //! completed assignments in one *canonical order*: positions are filled
 //! left to right (necessary block, then optional block), candidate user

@@ -1,12 +1,12 @@
 //! Deterministic parallel candidate enumeration.
 //!
-//! Shards the canonical backtracking walk of [`super::SearchSpace`]
-//! across `std::thread::scope` workers pulling from a shared work
-//! queue (a single atomic claim counter — no rayon, the build
-//! environment has no crates.io access):
+//! Shards the canonical backtracking walk of `SearchSpace` across
+//! `std::thread::scope` workers pulling from a shared work queue (a
+//! single atomic claim counter — no rayon, the build environment has no
+//! crates.io access):
 //!
 //! 1. **Split.** Collect every prefix cursor at the shallowest depth that
-//!    yields at least [`PREFIXES_PER_THREAD`] prefixes per worker (or the
+//!    yields at least `PREFIXES_PER_THREAD` prefixes per worker (or the
 //!    full depth, whichever comes first). The prefix list is in canonical
 //!    order and its subtrees partition the space.
 //! 2. **Count.** Workers enumerate each prefix's subtree *structurally*

@@ -43,7 +43,7 @@ impl Profile {
     /// and used repetitively until the attributes are updated").
     pub fn from_attributes(attrs: impl IntoIterator<Item = Attribute>) -> Self {
         let attributes: BTreeSet<Attribute> = attrs.into_iter().collect();
-        let vector = ProfileVector::from_hashes(Attribute::hash_many(attributes.iter()));
+        let vector = ProfileVector::from_hashes(attributes.iter().map(Attribute::hash));
         Profile { attributes, vector }
     }
 
@@ -64,7 +64,7 @@ impl Profile {
     }
 
     fn rebuild(&mut self) {
-        self.vector = ProfileVector::from_hashes(Attribute::hash_many(self.attributes.iter()));
+        self.vector = ProfileVector::from_hashes(self.attributes.iter().map(Attribute::hash));
     }
 
     /// Number of attributes `m_k`.

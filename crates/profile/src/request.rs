@@ -224,13 +224,8 @@ pub struct RequestVector {
 
 impl RequestVector {
     fn from_request(req: &RequestProfile) -> Self {
-        // Batch-hash both blocks in one pass (equal-length canonical
-        // forms compress four lanes at a time).
-        let hashes = Attribute::hash_many(req.necessary.iter().chain(req.optional.iter()));
-        let (mut necessary, mut optional) = {
-            let (n, o) = hashes.split_at(req.necessary.len());
-            (n.to_vec(), o.to_vec())
-        };
+        let mut necessary: Vec<AttributeHash> = req.necessary.iter().map(Attribute::hash).collect();
+        let mut optional: Vec<AttributeHash> = req.optional.iter().map(Attribute::hash).collect();
         necessary.sort_unstable();
         optional.sort_unstable();
         RequestVector { necessary, optional, beta: req.beta }

@@ -11,7 +11,7 @@
 //! Reframing errors are connection-fatal (see
 //! [`msb_wire::stream`]): the gateway counts the reject (splitting the
 //! oversize-declaration case for the stats endpoint), best-effort
-//! writes a rejecting [`Ack`](crate::proto::Ack), and drops the
+//! writes a rejecting [`Ack`], and drops the
 //! connection. A mid-frame disconnect is just an EOF with residual
 //! buffered bytes — logged in no counter, harmful to no one.
 

@@ -4,7 +4,7 @@
 //! The gateway never interprets bytes beyond reframing; everything
 //! protocol-shaped happens here, under three policies:
 //!
-//! - **Identity**: a connection must [`Hello`](crate::proto::Hello)
+//! - **Identity**: a connection must [`Hello`]
 //!   before depositing or fetching. The claimed id keys the rate guard
 //!   and the inbox.
 //! - **Rate** (the paper's §II-B DoS defence): deposits are admitted
@@ -16,7 +16,7 @@
 //!   reply's destination — the initiator — is part of what the sealed
 //!   bottle hides, so the depositor must say it); nothing else may
 //!   ride inside a deposit. A bare request frame sent without a
-//!   [`Deposit`](crate::proto::Deposit) wrapper is accepted as a
+//!   [`Deposit`] wrapper is accepted as a
 //!   broadcast deposit — the radio-style "flood it" idiom.
 
 use std::sync::atomic::Ordering;

@@ -3,7 +3,7 @@
 //!
 //! The shard differentials compare N engine cores against the
 //! single-threaded `Simulator`, which proves everything specific to
-//! sharding (partitioning, windows, halos, handoff, envelope batching)
+//! sharding (partitioning, windows, handoff, envelope batching)
 //! but not the dispatch both sides share: loss and latency draw order,
 //! emission keys, same-instant batch coalescing and `Metrics`
 //! accounting. This suite pins that dispatch to values recorded from

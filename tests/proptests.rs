@@ -73,27 +73,6 @@ proptest! {
         prop_assert_eq!(h.finalize(), oneshot);
     }
 
-    /// Multi-buffer hashing: `digest_many` must agree with per-message
-    /// [`Sha256::digest`] for any mix of lengths — equal-length runs go
-    /// through the 4-way interleaved compressor, stragglers through the
-    /// scalar path, and the seams between the two must be invisible.
-    #[test]
-    fn sha256_digest_many_equals_serial(
-        msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..200), 0..12),
-        equalize in any::<bool>(),
-        len in 0usize..150,
-    ) {
-        let msgs = if equalize {
-            // Force equal lengths so the interleaved path is actually hit.
-            msgs.into_iter().map(|mut m| { m.resize(len, 0x5a); m }).collect::<Vec<_>>()
-        } else {
-            msgs
-        };
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let serial: Vec<_> = refs.iter().map(|m| Sha256::digest(m)).collect();
-        prop_assert_eq!(Sha256::digest_many(&refs), serial);
-    }
-
     #[test]
     fn hmac_verifies_and_rejects(key in proptest::collection::vec(any::<u8>(), 0..80), msg in proptest::collection::vec(any::<u8>(), 0..128), flip in any::<prop::sample::Index>()) {
         let tag = HmacSha256::mac(&key, &msg);
