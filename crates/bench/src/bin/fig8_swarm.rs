@@ -1,8 +1,6 @@
 //! Figure 8 (extension) — simulator scalability: friending swarms at
-//! 1k / 5k / 10k nodes, each size executed under both the hex-grid
-//! spatial index and the naive O(n²) scan (the speedup baseline). Both
-//! modes are bit-identical, so the comparison is pure engine cost —
-//! asserted per size before anything is printed.
+//! 1k / 5k / 10k nodes on the hex-grid spatial index, plus the index's
+//! per-query speedup over an all-node scan.
 //!
 //! Each run executes the full protocol end to end
 //! ([`msb_bench::swarm`]): the initiator floods its request from the
@@ -13,75 +11,111 @@
 //! latency percentiles, and the index-efficiency observable
 //! `cells/query`.
 //!
+//! The naive/indexed ratio is measured per query: over each size's
+//! node layout, one radio-range query per node, answered by a linear
+//! scan over every node and by [`SpatialIndex::candidates_into`], both
+//! with the exact `distance <= range` filter. The two answers are
+//! asserted equal before anything is printed; each side's time is the
+//! fastest of [`QUERY_REPS`] interleaved passes.
+//!
 //! Regenerate with `cargo run -p msb-bench --release --bin fig8_swarm`;
 //! `--json` emits `BENCH_BASELINE.json` rows instead of the table.
 
-use msb_bench::swarm::build_uniform_swarm;
+use msb_bench::swarm::{build_uniform_swarm, uniform_center_positions};
 use msb_bench::{fmt_ms, print_table, time_once};
 use msb_core::app::SwarmSummary;
-use msb_net::sim::{Metrics, SpatialMode};
+use msb_net::sim::{Metrics, SimConfig};
+use msb_net::spatial::{SpatialIndex, SpatialScratch};
 
 const SIZES: [usize; 3] = [1_000, 5_000, 10_000];
 const SEED: u64 = 0xF168;
+/// Timed passes per query method; the fastest counts.
+const QUERY_REPS: usize = 3;
 
 struct RunResult {
-    mode: SpatialMode,
     nodes: usize,
     wall_ms: f64,
     metrics: Metrics,
     summary: SwarmSummary,
 }
 
-fn run(n: usize, mode: SpatialMode) -> RunResult {
-    let mut sim = build_uniform_swarm(n, mode, SEED, 255);
+fn run(n: usize) -> RunResult {
+    let mut sim = build_uniform_swarm(n, SEED, 255);
     let (_, wall_ms) = time_once(|| {
         sim.start();
         sim.run();
     });
-    RunResult {
-        mode,
-        nodes: n,
-        wall_ms,
-        metrics: *sim.metrics(),
-        summary: SwarmSummary::collect(&sim),
-    }
+    RunResult { nodes: n, wall_ms, metrics: *sim.metrics(), summary: SwarmSummary::collect(&sim) }
 }
 
-fn mode_name(mode: SpatialMode) -> &'static str {
-    match mode {
-        SpatialMode::HexIndex => "indexed",
-        SpatialMode::NaiveScan => "naive",
+/// One radio-range query per node over a swarm layout, timed per method.
+struct QueryResult {
+    nodes: usize,
+    /// In-range ids found over all queries, each query's own node
+    /// included (both methods agree).
+    in_range: usize,
+    scan_ms: f64,
+    index_ms: f64,
+}
+
+/// Times one query per node over size `n`'s swarm layout (the one
+/// [`build_uniform_swarm`] places) by all-node scan and by the hex
+/// index, asserting both return the same ids in the same order.
+fn query_speedup(n: usize) -> QueryResult {
+    let range = SimConfig::default().radio_range;
+    let positions = uniform_center_positions(n, SEED ^ n as u64);
+    let in_range =
+        |c: (f64, f64), p: (f64, f64)| ((p.0 - c.0).powi(2) + (p.1 - c.1).powi(2)).sqrt() <= range;
+    // Each pass returns every query's ids, each list closed by a
+    // `u32::MAX` separator, so equal outputs mean equal per-query lists.
+    let scan = || {
+        let mut out = Vec::new();
+        for &c in &positions {
+            out.extend((0..n as u32).filter(|&i| in_range(c, positions[i as usize])));
+            out.push(u32::MAX);
+        }
+        out
+    };
+    let mut index = SpatialIndex::new(range);
+    for &p in &positions {
+        index.push(p);
     }
+    let indexed = || {
+        let (mut out, mut cand) = (Vec::new(), Vec::new());
+        let mut scratch = SpatialScratch::default();
+        for &c in &positions {
+            index.candidates_into(&mut scratch, c, range, &mut cand);
+            out.extend(cand.iter().copied().filter(|&i| in_range(c, positions[i as usize])));
+            out.push(u32::MAX);
+        }
+        out
+    };
+    let (mut scan_ms, mut index_ms) = (f64::INFINITY, f64::INFINITY);
+    let mut found = 0;
+    for _ in 0..QUERY_REPS {
+        let (scanned, ms) = time_once(scan);
+        scan_ms = scan_ms.min(ms);
+        let (from_index, ms) = time_once(indexed);
+        index_ms = index_ms.min(ms);
+        assert_eq!(scanned, from_index, "n={n}: index and scan answered differently");
+        found = scanned.len() - n;
+    }
+    QueryResult { nodes: n, in_range: found, scan_ms, index_ms }
 }
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    let indexed: Vec<RunResult> = SIZES.iter().map(|&n| run(n, SpatialMode::HexIndex)).collect();
-    let naive: Vec<RunResult> = SIZES.iter().map(|&n| run(n, SpatialMode::NaiveScan)).collect();
+    let runs: Vec<RunResult> = SIZES.iter().map(|&n| run(n)).collect();
+    let queries: Vec<QueryResult> = SIZES.iter().map(|&n| query_speedup(n)).collect();
 
-    // Both modes are bit-identical (the differential suites prove it);
-    // assert the transport metrics agree so a future divergence cannot
-    // silently invalidate the speedup comparison.
-    for (i, nv) in indexed.iter().zip(&naive) {
-        assert_eq!(
-            Metrics { cells_scanned: 0, ..i.metrics },
-            nv.metrics,
-            "n={}: modes diverged — differential contract broken",
-            i.nodes
-        );
-        assert_eq!(i.summary, nv.summary, "n={}: app outcomes diverged", i.nodes);
-    }
-
-    let results = indexed.iter().chain(&naive);
     if json {
-        for r in results {
+        for r in &runs {
             let s = &r.summary;
             println!(
-                "{{\"bench\": \"fig8_swarm\", \"mode\": \"{}\", \"nodes\": {}, \
+                "{{\"bench\": \"fig8_swarm\", \"mode\": \"indexed\", \"nodes\": {}, \
                  \"wall_ms\": {:.1}, \"broadcasts\": {}, \"delivered\": {}, \
                  \"unicast_hops\": {}, \"neighbor_queries\": {}, \"cells_scanned\": {}, \
                  \"matches\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}}}",
-                mode_name(r.mode),
                 r.nodes,
                 r.wall_ms,
                 r.metrics.broadcasts,
@@ -95,8 +129,21 @@ fn main() {
                 s.latency_percentile_us(0.99).unwrap_or(0),
             );
         }
+        for q in &queries {
+            println!(
+                "{{\"bench\": \"fig8_swarm/query_speedup\", \"nodes\": {}, \"in_range\": {}, \
+                 \"scan_us_per_query\": {:.3}, \"index_us_per_query\": {:.3}, \
+                 \"naive_over_indexed\": {:.1}}}",
+                q.nodes,
+                q.in_range,
+                q.scan_ms * 1e3 / q.nodes as f64,
+                q.index_ms * 1e3 / q.nodes as f64,
+                q.scan_ms / q.index_ms,
+            );
+        }
     } else {
-        let rows: Vec<Vec<String>> = results
+        let rows: Vec<Vec<String>> = runs
+            .iter()
             .map(|r| {
                 let s = &r.summary;
                 let cells_per_query = if r.metrics.neighbor_queries > 0 {
@@ -105,7 +152,7 @@ fn main() {
                     0.0
                 };
                 vec![
-                    format!("{} ({})", r.nodes, mode_name(r.mode)),
+                    format!("{}", r.nodes),
                     fmt_ms(r.wall_ms),
                     format!("{}", r.metrics.broadcasts),
                     format!("{}", r.metrics.delivered),
@@ -117,11 +164,7 @@ fn main() {
                         s.latency_percentile_us(0.9).unwrap_or(0),
                         s.latency_percentile_us(0.99).unwrap_or(0),
                     ),
-                    if r.mode == SpatialMode::HexIndex {
-                        format!("{cells_per_query:.1}")
-                    } else {
-                        "n/a".into()
-                    },
+                    format!("{cells_per_query:.1}"),
                 ]
             })
             .collect();
@@ -139,14 +182,21 @@ fn main() {
             ],
             &rows,
         );
-        for (i, nv) in indexed.iter().zip(&naive) {
-            println!(
-                "speedup @ {}: {:.1}x (naive {} → indexed {})",
-                i.nodes,
-                nv.wall_ms / i.wall_ms,
-                fmt_ms(nv.wall_ms),
-                fmt_ms(i.wall_ms),
-            );
-        }
+        let rows: Vec<Vec<String>> = queries
+            .iter()
+            .map(|q| {
+                vec![
+                    format!("{}", q.nodes),
+                    format!("{:.3}", q.scan_ms * 1e3 / q.nodes as f64),
+                    format!("{:.3}", q.index_ms * 1e3 / q.nodes as f64),
+                    format!("{:.1}x", q.scan_ms / q.index_ms),
+                ]
+            })
+            .collect();
+        print_table(
+            "Per-query range lookup: all-node scan vs hex index (one query per node)",
+            &["Swarm", "Scan (us/query)", "Index (us/query)", "Speedup"],
+            &rows,
+        );
     }
 }

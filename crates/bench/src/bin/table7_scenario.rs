@@ -17,7 +17,6 @@ use msb_baselines::paillier::PaillierKeyPair;
 use msb_bench::{fmt_ms, print_table, swarm, time_once, time_stats};
 use msb_core::app::SwarmSummary;
 use msb_core::protocol::{Initiator, ProtocolConfig, ProtocolKind, Responder, ResponderOutcome};
-use msb_net::sim::SpatialMode;
 use msb_profile::{Attribute, Profile, RequestProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,7 +39,7 @@ fn swarm_row(n: usize) -> Vec<String> {
     };
     let mut sim = swarm::build_swarm(
         swarm::uniform_center_positions(n, n as u64),
-        &swarm::SwarmParams::new(0x7AB7, 255).with_spatial(SpatialMode::HexIndex),
+        &swarm::SwarmParams::new(0x7AB7, 255),
         request,
         matching,
         noise,

@@ -6,8 +6,8 @@
 //! initiates from a known position, one node in [`MATCHING_EVERY`] owns
 //! a matching profile, the rest are noise. Defining the construction
 //! once keeps those same-scenario claims true by construction — and
-//! keeps the differential comparisons (naive vs indexed spatial mode,
-//! heap vs calendar scheduler) meaningful, since all sides build
+//! keeps the differential comparisons (heap vs calendar scheduler,
+//! `Simulator` vs sharded engine) meaningful, since all sides build
 //! byte-identical swarms.
 //!
 //! Two scenario families live here:
@@ -25,7 +25,7 @@ use msb_core::protocol::{ProtocolConfig, ProtocolKind};
 use msb_dataset::placement;
 use msb_net::mobility::{Bounds, RandomWaypoint};
 use msb_net::shard::ShardedSimulator;
-use msb_net::sim::{DeliveryMode, SchedulerMode, SimConfig, SimDriver, Simulator, SpatialMode};
+use msb_net::sim::{DeliveryMode, SchedulerMode, SimConfig, SimDriver, Simulator};
 use msb_profile::{Attribute, Profile, RequestProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,7 +76,7 @@ pub fn uniform_center_positions(n: usize, seed: u64) -> Vec<(f64, f64)> {
 }
 
 /// Everything that parameterizes a swarm beyond its positions and
-/// profiles: the simulator config (spatial mode, scheduler, delivery,
+/// profiles: the simulator config (scheduler, delivery, shards,
 /// batching), seeds, flood TTL, request validity, and the optional
 /// re-flood policy. One struct so every scenario family threads the
 /// same knobs through the one builder.
@@ -101,12 +101,6 @@ impl SwarmParams {
     /// re-flooding.
     pub fn new(sim_seed: u64, ttl: u8) -> Self {
         SwarmParams { sim: SimConfig::default(), sim_seed, ttl, validity_us: None, reflood: None }
-    }
-
-    /// Selects the spatial engine (the fig8 naive-vs-indexed axis).
-    pub fn with_spatial(mut self, mode: SpatialMode) -> Self {
-        self.sim.spatial = mode;
-        self
     }
 }
 
@@ -194,15 +188,10 @@ pub fn build_swarm_sharded(
 /// The standard scalability swarm: [`lighthouse_request`] over
 /// [`uniform_center_positions`], placement seeded with
 /// `sim_seed ^ n` so each size draws an independent layout.
-pub fn build_uniform_swarm(
-    n: usize,
-    mode: SpatialMode,
-    sim_seed: u64,
-    ttl: u8,
-) -> Simulator<FriendingApp> {
+pub fn build_uniform_swarm(n: usize, sim_seed: u64, ttl: u8) -> Simulator<FriendingApp> {
     build_swarm(
         uniform_center_positions(n, sim_seed ^ n as u64),
-        &SwarmParams::new(sim_seed, ttl).with_spatial(mode),
+        &SwarmParams::new(sim_seed, ttl),
         lighthouse_request(),
         lighthouse_matching(),
         noise_profile,
@@ -385,7 +374,7 @@ mod tests {
 
     #[test]
     fn swarm_finds_matches_end_to_end() {
-        let mut sim = build_uniform_swarm(300, SpatialMode::HexIndex, 3, 200);
+        let mut sim = build_uniform_swarm(300, 3, 200);
         sim.start();
         sim.run();
         let matches = sim.app(msb_net::sim::NodeId::new(0)).matches();

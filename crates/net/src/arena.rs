@@ -8,8 +8,8 @@
 //! reuses the slot the last departure vacated — so a core's resident
 //! footprint is bounded by its *peak concurrent population*, stays
 //! compact in memory, and is measurable: [`NodeArena::resident_bytes`]
-//! is a deterministic length/capacity computation, safe to publish
-//! through telemetry gauges.
+//! is a deterministic length computation, safe to publish through
+//! telemetry gauges.
 //!
 //! Determinism: slot assignment depends only on the sequence of
 //! inserts and removes (the free list is a stack), and nothing ever
@@ -85,13 +85,16 @@ impl<V> NodeArena<V> {
         self.slots[slot as usize].as_mut()
     }
 
-    /// Estimated resident heap bytes: slot storage at capacity, the
-    /// free list, and the id map's entry overhead. Deterministic
-    /// (length/capacity based) — this is the per-node footprint term
-    /// `fig10_shards` reports as `bytes_per_node`.
+    /// Estimated resident bytes: every slot ever filled (vacated ones
+    /// included, since they stay in the slot vector for reuse), the
+    /// free list, and the id map's entries. Unused `Vec` capacity is
+    /// not counted, so the figure tracks the peak concurrent population
+    /// rather than growth steps. Deterministic (length based) — this is
+    /// the per-node footprint term `fig10_shards` reports as
+    /// `bytes_per_node`.
     pub(crate) fn resident_bytes(&self) -> u64 {
-        (self.slots.capacity() * std::mem::size_of::<Option<V>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
+        (self.slots.len() * std::mem::size_of::<Option<V>>()
+            + self.free.len() * std::mem::size_of::<u32>()
             + self.index.len() * std::mem::size_of::<(u32, u32)>()) as u64
     }
 }
@@ -146,6 +149,21 @@ mod tests {
         assert_eq!(arena.len(), 100);
         assert!(arena.slots.len() <= 101, "slots grew past peak population");
         assert!(arena.resident_bytes() <= peak.max(4096));
+    }
+
+    #[test]
+    fn resident_bytes_count_used_slots_not_capacity() {
+        let mut arena = NodeArena::default();
+        for id in 0..5u32 {
+            arena.insert(id, [0u8; 100]);
+        }
+        let slot = std::mem::size_of::<Option<[u8; 100]>>();
+        let entry = std::mem::size_of::<(u32, u32)>();
+        assert_eq!(arena.resident_bytes(), (5 * slot + 5 * entry) as u64);
+        // A departure keeps its slot for reuse and adds a free-list entry.
+        arena.remove(2);
+        let free = std::mem::size_of::<u32>();
+        assert_eq!(arena.resident_bytes(), (5 * slot + free + 4 * entry) as u64);
     }
 
     #[test]

@@ -12,16 +12,15 @@
 //!
 //! Range queries (who hears a broadcast, who is a BFS neighbor) are
 //! answered by a hex-grid [`spatial::SpatialIndex`] keyed on the same
-//! hexagonal lattice the paper uses for vicinity privacy, scaling swarms
-//! to 10k+ nodes; the pre-index linear scan survives as
-//! [`sim::SpatialMode::NaiveScan`], the differential oracle both modes
-//! are proven bit-identical against. The event queue itself is
-//! pluggable the same way ([`sched`], selected by
-//! [`sim::SimConfig::scheduler`]): a hierarchical calendar queue with
-//! O(1)-amortized operations for the bounded-horizon bulk of the
-//! traffic, with the original binary heap kept as the bit-identical
-//! oracle — the full engine contract (ordering, tie-breaking,
-//! recurring events, re-flood scenarios) lives in `docs/SIM.md`.
+//! hexagonal lattice the paper uses for vicinity privacy, with cells one
+//! radio range across, scaling swarms to 10k+ nodes; its tests hold
+//! every query to an all-node scan. The event queue is pluggable
+//! ([`sched`], selected by [`sim::SimConfig::scheduler`]): a
+//! hierarchical calendar queue with O(1)-amortized operations for the
+//! bounded-horizon bulk of the traffic, with the original binary heap
+//! kept as the bit-identical oracle — the full engine contract
+//! (ordering, tie-breaking, recurring events, re-flood scenarios) lives
+//! in `docs/SIM.md`.
 //!
 //! For multi-core scale, the whole engine shards spatially:
 //! [`shard::ShardedSimulator`] partitions the hex tiles across
@@ -83,7 +82,5 @@ pub use sched::{
     SchedulerMode,
 };
 pub use shard::ShardedSimulator;
-pub use sim::{
-    DeliveryMode, Metrics, NodeApp, NodeCtx, NodeId, SimConfig, SimDriver, Simulator, SpatialMode,
-};
+pub use sim::{DeliveryMode, Metrics, NodeApp, NodeCtx, NodeId, SimConfig, SimDriver, Simulator};
 pub use spatial::{SpatialIndex, SpatialScratch};

@@ -9,22 +9,19 @@
 //!   operation with n the *total* queue depth, including far-future
 //!   entries (recurring re-flood timers, long deadlines) that every
 //!   near-term delivery must sift past. Kept as the differential oracle
-//!   and speedup baseline, exactly like
-//!   [`SpatialMode::NaiveScan`](crate::sim::SpatialMode::NaiveScan).
+//!   and speedup baseline.
 //! * [`CalendarScheduler`] — a hierarchical calendar (bucket) queue
 //!   tuned to the simulator's bounded-horizon event distribution:
 //!   almost every event lands within a few milliseconds of *now*
 //!   (radio latency, jitter, per-key computation delays), while a
 //!   minority (re-flood periods, expiry deadlines) sits seconds out.
-//!   Near-term events go into a ring of fixed-width time buckets
+//!   Near-term events go into a ring of fixed 4 µs time buckets
 //!   (insert and extract O(1) amortized, located via an occupancy
 //!   bitmap); far-future events wait in an overflow heap and migrate
 //!   into the ring when the clock approaches them, so they are touched
 //!   O(log overflow) times *total* instead of taxing every operation.
-//!   The bucket width *adapts* to the observed inter-event spacing
-//!   (see [`CalendarScheduler::bucket_width_us`]), so server-paced,
-//!   seconds-scale workloads keep O(1) scheduling instead of falling
-//!   into the overflow heap.
+//!   A stream whose events are all seconds apart therefore lives in
+//!   the overflow heap and costs what the heap oracle costs.
 //!
 //! # Ordering contract
 //!
@@ -356,52 +353,29 @@ impl<T: Clone> Scheduler<T> for HeapScheduler<T> {
     }
 }
 
-/// Default microseconds covered by one calendar bucket. Deliberately
-/// fine: the simulator's in-flight deliveries concentrate inside the
-/// radio horizon (base latency + jitter, under a millisecond), so at
-/// swarm scale tens of thousands of events share that window — wide
-/// buckets would pile them into one slot and the per-bucket sort would
+/// Microseconds covered by one calendar bucket. Deliberately fine:
+/// the simulator's in-flight deliveries concentrate inside the radio
+/// horizon (base latency + jitter, under a millisecond), so at swarm
+/// scale tens of thousands of events share that window — wide buckets
+/// would pile them into one slot and the per-bucket sort would
 /// degenerate toward a global sort. At 4 µs a 50k-deep in-flight set
 /// spreads to a few hundred entries per bucket: the lazy sort costs a
 /// handful of comparisons per event on contiguous memory, and inserts
 /// stay `Vec::push`.
-const DEFAULT_BUCKET_WIDTH_US: u64 = 4;
+const BUCKET_WIDTH_US: u64 = 4;
 
-/// Buckets in the ring; with [`DEFAULT_BUCKET_WIDTH_US`] the ring
-/// covers ~33 ms of simulated time — enough for every latency/jitter
-/// draw and the modelled per-key computation timers, while second-scale
-/// entries (re-flood periods, expiry deadlines) go to the overflow heap
-/// until the adaptive width catches up. Must be a multiple of 64 (the
-/// occupancy bitmap is a `u64` array).
+/// Buckets in the ring; with [`BUCKET_WIDTH_US`] the ring covers ~33 ms
+/// of simulated time — enough for every latency/jitter draw and the
+/// modelled per-key computation timers, while second-scale entries
+/// (re-flood periods, expiry deadlines) wait in the overflow heap. Must
+/// be a multiple of 64 (the occupancy bitmap is a `u64` array).
 const RING_SLOTS: usize = 8192;
 
-/// Pops between bucket-width adaptation checks. Frequent enough that a
-/// workload shifting to a different time scale re-tunes within a few
-/// hundred events; rare enough that the check never shows on profiles.
-const RESIZE_CHECK_EVERY: u32 = 512;
-
-/// Width must be off by ≥ this factor from the observed spacing before
-/// a rebuild triggers — hysteresis keeping the standard radio-horizon
-/// workload (whose mean gap sits within an order of magnitude of the
-/// default width) on the untouched fast path.
-const RESIZE_FACTOR: u64 = 8;
-
 /// The hierarchical calendar-queue engine. See the module docs for the
-/// design; in short: a ring of `RING_SLOTS` buckets of
-/// [`CalendarScheduler::bucket_width_us`] each holds the near future
-/// (located through an occupancy bitmap), a `BinaryHeap` overflow holds
-/// everything beyond the ring's window, and the bucket at the current
-/// epoch is kept sorted for in-order popping.
-///
-/// The bucket width starts at 4 µs (the radio-horizon sweet spot) and
-/// **adapts**: an exponential moving average of the inter-pop gap is
-/// maintained, and when it drifts a factor of 8 away from the current
-/// width the ring is rebuilt around the observed scale. A server-paced
-/// workload whose events are seconds apart therefore migrates out of
-/// the overflow heap into O(1) ring scheduling after a few hundred
-/// pops, while the swarm workloads never resize at all. Resizing never
-/// affects ordering — that is governed entirely by `(at_us, key)` —
-/// only the cost profile; [`CalendarScheduler::resizes`] observes it.
+/// design; in short: a ring of `RING_SLOTS` buckets of 4 µs each holds
+/// the near future (located through an occupancy bitmap), a
+/// `BinaryHeap` overflow holds everything beyond the ring's window, and
+/// the bucket at the current epoch is kept sorted for in-order popping.
 #[derive(Debug, Clone)]
 pub struct CalendarScheduler<T> {
     /// Ring of future buckets; each non-empty slot holds entries of
@@ -414,8 +388,8 @@ pub struct CalendarScheduler<T> {
     /// Entries of the current epoch, sorted *descending* by
     /// `(at_us, key)` so popping the minimum is `Vec::pop`.
     cur: Vec<ScheduledEvent<T>>,
-    /// Absolute epoch (`at_us / width_us`) the drain cursor is at; the
-    /// ring window is `[cur_epoch, cur_epoch + RING_SLOTS)`.
+    /// Absolute epoch (`at_us / BUCKET_WIDTH_US`) the drain cursor is
+    /// at; the ring window is `[cur_epoch, cur_epoch + RING_SLOTS)`.
     cur_epoch: u64,
     /// Entries across all ring slots (excluding `cur`).
     ring_len: usize,
@@ -423,16 +397,6 @@ pub struct CalendarScheduler<T> {
     overflow: BinaryHeap<Reverse<ScheduledEvent<T>>>,
     len: usize,
     stats: Stats,
-    /// Current bucket width in microseconds (adaptive).
-    width_us: u64,
-    /// Timestamp of the most recent pop (gap measurement anchor).
-    last_pop_at: u64,
-    /// EMA of the inter-pop gap, scaled ×8 (integer arithmetic).
-    gap_ema_x8: u64,
-    /// Pops since the last adaptation check.
-    pops_since_check: u32,
-    /// Ring rebuilds performed by the adaptive width.
-    resizes: u64,
 }
 
 impl<T> Default for CalendarScheduler<T> {
@@ -446,11 +410,6 @@ impl<T> Default for CalendarScheduler<T> {
             overflow: BinaryHeap::new(),
             len: 0,
             stats: Stats::default(),
-            width_us: DEFAULT_BUCKET_WIDTH_US,
-            last_pop_at: 0,
-            gap_ema_x8: DEFAULT_BUCKET_WIDTH_US * 8,
-            pops_since_check: 0,
-            resizes: 0,
         }
     }
 }
@@ -461,18 +420,8 @@ impl<T> CalendarScheduler<T> {
         Self::default()
     }
 
-    /// The current (adaptive) bucket width in microseconds.
-    pub fn bucket_width_us(&self) -> u64 {
-        self.width_us
-    }
-
-    /// How many times the adaptive width has rebuilt the ring.
-    pub fn resizes(&self) -> u64 {
-        self.resizes
-    }
-
-    fn epoch_of(&self, at_us: u64) -> u64 {
-        at_us / self.width_us
+    fn epoch_of(at_us: u64) -> u64 {
+        at_us / BUCKET_WIDTH_US
     }
 
     fn mark(&mut self, slot: usize) {
@@ -484,10 +433,10 @@ impl<T> CalendarScheduler<T> {
     }
 
     /// Files an entry into `cur` / ring / overflow. Does not touch
-    /// `len` or `stats` — callers account those (insertion, transfer,
-    /// and rebuild account differently).
+    /// `len` or `stats` — callers account those (insertion and transfer
+    /// account differently).
     fn place(&mut self, entry: ScheduledEvent<T>) {
-        let epoch = self.epoch_of(entry.at_us);
+        let epoch = Self::epoch_of(entry.at_us);
         if epoch <= self.cur_epoch {
             // Lands at (or before — possible right after a `run_until`
             // fast-forward) the epoch being drained: merge into the
@@ -550,7 +499,7 @@ impl<T> CalendarScheduler<T> {
     fn refill(&mut self) {
         debug_assert!(self.cur.is_empty());
         let ring_epoch = self.next_ring_epoch();
-        let over_epoch = self.overflow.peek().map(|Reverse(e)| self.epoch_of(e.at_us));
+        let over_epoch = self.overflow.peek().map(|Reverse(e)| Self::epoch_of(e.at_us));
         let target = match (ring_epoch, over_epoch) {
             (Some(r), Some(o)) => r.min(o),
             (Some(r), None) => r,
@@ -568,66 +517,11 @@ impl<T> CalendarScheduler<T> {
         // same block (the ring may hold the same epoch when entries
         // were inserted after the window slid over it).
         while let Some(Reverse(e)) = self.overflow.peek() {
-            if self.epoch_of(e.at_us) != target {
+            if Self::epoch_of(e.at_us) != target {
                 break;
             }
             let Some(Reverse(e)) = self.overflow.pop() else { unreachable!() };
             self.cur.push(e);
-        }
-        self.cur.sort_unstable_by_key(|e| Reverse(e.sort_key()));
-    }
-
-    /// Gap-EMA update on every pop; every [`RESIZE_CHECK_EVERY`] pops,
-    /// rebuild the ring if the observed spacing has drifted a factor of
-    /// [`RESIZE_FACTOR`] away from the current width.
-    fn observe_pop(&mut self, at_us: u64) {
-        // Saturating: the API lets a caller schedule before the last
-        // popped instant, and that entry pops next (gap 0).
-        let gap = at_us.saturating_sub(self.last_pop_at);
-        self.last_pop_at = at_us;
-        self.gap_ema_x8 = self.gap_ema_x8 - self.gap_ema_x8 / 8 + gap;
-        self.pops_since_check += 1;
-        if self.pops_since_check < RESIZE_CHECK_EVERY {
-            return;
-        }
-        self.pops_since_check = 0;
-        // Classic calendar-queue rule: bucket width ≈ mean gap, so the
-        // drain cursor finds ~one event per bucket.
-        let target = (self.gap_ema_x8 / 8).max(1).next_power_of_two();
-        if target >= self.width_us.saturating_mul(RESIZE_FACTOR)
-            || self.width_us >= target.saturating_mul(RESIZE_FACTOR)
-        {
-            self.rebuild(target);
-        }
-    }
-
-    /// Re-files every pending entry under a new bucket width. Ordering
-    /// is untouched (it lives in the entries, not the buckets); only
-    /// where entries sit changes.
-    fn rebuild(&mut self, new_width: u64) {
-        self.resizes += 1;
-        let mut entries: Vec<ScheduledEvent<T>> = Vec::with_capacity(self.len);
-        entries.append(&mut self.cur);
-        for slot in &mut self.slots {
-            entries.append(slot);
-        }
-        entries.extend(std::mem::take(&mut self.overflow).into_vec().into_iter().map(|r| r.0));
-        self.ring_len = 0;
-        self.occupied.fill(0);
-        self.width_us = new_width;
-        self.cur_epoch = self.last_pop_at / new_width;
-        for entry in entries {
-            let epoch = self.epoch_of(entry.at_us);
-            if epoch <= self.cur_epoch {
-                self.cur.push(entry); // sorted once below
-            } else if epoch < self.cur_epoch + RING_SLOTS as u64 {
-                let slot = (epoch % RING_SLOTS as u64) as usize;
-                self.slots[slot].push(entry);
-                self.ring_len += 1;
-                self.mark(slot);
-            } else {
-                self.overflow.push(Reverse(entry));
-            }
         }
         self.cur.sort_unstable_by_key(|e| Reverse(e.sort_key()));
     }
@@ -661,7 +555,6 @@ impl<T: Clone> Scheduler<T> for CalendarScheduler<T> {
                 self.insert(next, e.key, Some(recur), e.item.clone());
             }
         }
-        self.observe_pop(e.at_us);
         Some((e.at_us, e.item))
     }
 
@@ -743,24 +636,6 @@ impl<T> AnyScheduler<T> {
         match mode {
             SchedulerMode::BinaryHeap => AnyScheduler::Heap(HeapScheduler::new()),
             SchedulerMode::Calendar => AnyScheduler::Calendar(CalendarScheduler::new()),
-        }
-    }
-
-    /// How many times the adaptive calendar width has rebuilt the ring
-    /// (0 for the heap engine, which never resizes).
-    pub fn resizes(&self) -> u64 {
-        match self {
-            AnyScheduler::Heap(_) => 0,
-            AnyScheduler::Calendar(s) => s.resizes(),
-        }
-    }
-
-    /// The calendar's current bucket width in microseconds (`None` for
-    /// the heap engine).
-    pub fn bucket_width_us(&self) -> Option<u64> {
-        match self {
-            AnyScheduler::Heap(_) => None,
-            AnyScheduler::Calendar(s) => Some(s.bucket_width_us()),
         }
     }
 }
@@ -887,13 +762,13 @@ mod tests {
             s.schedule(10_000_000, key(0), 1);
             s.schedule(300, key(1), 2);
             s.schedule(9_999_999, key(2), 3);
-            s.schedule(DEFAULT_BUCKET_WIDTH_US * RING_SLOTS as u64 * 3, key(3), 4);
+            s.schedule(BUCKET_WIDTH_US * RING_SLOTS as u64 * 3, key(3), 4);
             let order = drain(&mut s);
             assert_eq!(
                 order,
                 vec![
                     (300, 2),
-                    (DEFAULT_BUCKET_WIDTH_US * RING_SLOTS as u64 * 3, 4),
+                    (BUCKET_WIDTH_US * RING_SLOTS as u64 * 3, 4),
                     (9_999_999, 3),
                     (10_000_000, 1)
                 ]
@@ -1059,11 +934,11 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_width_tracks_seconds_scale_workloads() {
-        // Server-paced stream: events ~1 s apart. Under the fixed 4 µs
-        // width every entry would live in the overflow heap; the
-        // adaptive width must rebuild the ring around the observed gap
-        // and keep the stream identical to the heap oracle.
+    fn seconds_scale_stream_matches_the_heap_oracle() {
+        // Server-paced stream: events ~1 s apart, far beyond the ring's
+        // ~33 ms window, so every entry waits in the calendar's overflow
+        // heap and migrates into the ring only when it comes due. The
+        // pop stream must equal the heap oracle's.
         let mut cal: CalendarScheduler<u32> = CalendarScheduler::new();
         let mut heap: HeapScheduler<u32> = HeapScheduler::new();
         let mut x = 0x9E37_79B9u64;
@@ -1075,7 +950,6 @@ mod tests {
             at += 800_000 + x % 400_000; // ~1 s mean spacing
             cal.schedule(at, key(u64::from(i)), i);
             heap.schedule(at, key(u64::from(i)), i);
-            // Interleave pops so the EMA observes the spacing.
             if i % 2 == 0 {
                 assert_eq!(cal.pop(), heap.pop());
             }
@@ -1083,54 +957,8 @@ mod tests {
         while let Some(ev) = cal.pop() {
             assert_eq!(Some(ev), heap.pop());
         }
-        assert!(cal.resizes() >= 1, "seconds-scale spacing must trigger a resize");
-        assert!(
-            cal.bucket_width_us() >= 100_000,
-            "width must approach the observed gap, got {}",
-            cal.bucket_width_us()
-        );
-    }
-
-    #[test]
-    fn adaptive_width_shrinks_back_for_dense_streams() {
-        // A seconds-scale phase grows the buckets; a following dense
-        // microsecond-scale phase must shrink them again.
-        let mut cal: CalendarScheduler<u32> = CalendarScheduler::new();
-        let mut emit = 0u64;
-        let mut at = 0u64;
-        for i in 0..2_000u32 {
-            at += 1_000_000;
-            cal.schedule(at, key(emit), i);
-            emit += 1;
-            let _ = cal.pop();
-        }
-        let wide = cal.bucket_width_us();
-        assert!(wide >= 100_000, "phase one must widen the buckets, got {wide}");
-        for i in 0..20_000u32 {
-            at += 3;
-            cal.schedule(at, key(emit), i);
-            emit += 1;
-            let _ = cal.pop();
-        }
-        assert!(
-            cal.bucket_width_us() < wide,
-            "dense phase must shrink the buckets again, got {}",
-            cal.bucket_width_us()
-        );
-    }
-
-    #[test]
-    fn default_width_is_stable_on_radio_horizon_streams() {
-        // The standard swarm profile (gaps well under the resize
-        // hysteresis factor from 4 µs) must never pay for a rebuild.
-        let mut cal: CalendarScheduler<u32> = CalendarScheduler::new();
-        let mut at = 0u64;
-        for i in 0..10_000u32 {
-            at += u64::from(i % 12); // mean gap ≈ 5.5 µs
-            cal.schedule(at, key(i as u64), i);
-            let _ = cal.pop();
-        }
-        assert_eq!(cal.resizes(), 0);
-        assert_eq!(cal.bucket_width_us(), DEFAULT_BUCKET_WIDTH_US);
+        assert_eq!(heap.pop(), None);
+        assert_eq!(cal.events_scheduled(), heap.events_scheduled());
+        assert_eq!(cal.peak_len(), heap.peak_len());
     }
 }

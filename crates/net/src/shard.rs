@@ -51,11 +51,10 @@
 //! [`crate::sched::Scheduler::transfer`], which preserve keys and do
 //! not recount [`Metrics::events_scheduled`]) — to the new owner.
 //!
-//! The single-threaded engine remains *the* differential oracle,
-//! exactly as [`crate::sim::SpatialMode::NaiveScan`] and
-//! [`crate::sim::SchedulerMode::BinaryHeap`] serve the spatial and
-//! scheduler layers; `crates/net/tests/shard_differential.rs` and the
-//! root `tests/shard_churn.rs` prove the bit-identity from tile-seam
+//! The single-threaded engine remains *the* differential oracle, as
+//! [`crate::sim::SchedulerMode::BinaryHeap`] serves the scheduler
+//! layer; `crates/net/tests/shard_differential.rs` and the root
+//! `tests/shard_churn.rs` prove the bit-identity from tile-seam
 //! micro-scenarios up to full friending swarms.
 
 use crate::arena::NodeArena;
@@ -66,7 +65,7 @@ use crate::sim::{
     NodeState, SimConfig, SimDriver,
 };
 use crate::topo::{distance, TopoScratch, Topology};
-use msb_lattice::{LatticeConfig, LatticePoint};
+use msb_lattice::LatticePoint;
 use msb_telemetry::{Recorder, TraceTag};
 use std::collections::HashSet;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -108,8 +107,6 @@ struct ShardCore<A> {
     /// derived from sim state — never wall clock — so traces are a
     /// pure function of `(seed, config, apps)`.
     telemetry: Recorder,
-    /// Calendar resizes already reported as trace events.
-    seen_resizes: u64,
 }
 
 impl<A: NodeApp> ShardCore<A> {
@@ -126,7 +123,6 @@ impl<A: NodeApp> ShardCore<A> {
             knear_buf: Vec::new(),
             scratch: TopoScratch::default(),
             telemetry: Recorder::off(),
-            seen_resizes: 0,
         }
     }
 
@@ -180,12 +176,6 @@ impl<A: NodeApp> ShardCore<A> {
         if self.telemetry.is_on() {
             self.telemetry.incr("shard.pops", self.shard, 1);
             self.telemetry.gauge_max("shard.queue_depth", self.shard, self.queue.len() as u64);
-            let resizes = self.queue.resizes();
-            if resizes > self.seen_resizes {
-                self.seen_resizes = resizes;
-                let width = self.queue.bucket_width_us().unwrap_or(0);
-                self.telemetry.event(TraceTag::SchedResize, self.shard, at_us, resizes, width);
-            }
         }
         match kind {
             EventKind::Deliver { to, from, payload } => {
@@ -454,11 +444,9 @@ struct Reply {
 pub struct ShardedSimulator<A: NodeApp> {
     config: SimConfig,
     seed: u64,
-    /// The hex lattice shards partition the plane by; `None` with one
-    /// shard, which owns every tile.
-    tiles: Option<LatticeConfig>,
     /// The one shared world topology (positions + hex index); workers
-    /// borrow it read-only during windows.
+    /// borrow it read-only during windows. Its hex lattice is also the
+    /// tile lattice shards partition the plane by.
     topo: Topology,
     cores: Vec<ShardCore<A>>,
     /// Node → owning shard (the coordinator's authoritative table,
@@ -476,9 +464,9 @@ pub struct ShardedSimulator<A: NodeApp> {
 impl<A: NodeApp> ShardedSimulator<A> {
     /// Creates a sharded simulator with `config.shards` cores (clamped
     /// to at least 1) and the given RNG seed. The tile partition uses
-    /// the same hex lattice scale as the spatial index
-    /// ([`SimConfig::cell_d`], defaulting to the radio range),
-    /// aggregated into [`SimConfig::region_tiles`]-sized regions.
+    /// the spatial index's hex lattice, with tiles one radio range
+    /// across, aggregated into [`SimConfig::region_tiles`]-sized
+    /// regions.
     ///
     /// # Panics
     ///
@@ -504,10 +492,7 @@ impl<A: NodeApp> ShardedSimulator<A> {
         ShardedSimulator {
             config: core_config,
             seed,
-            tiles: (shards > 1).then(|| {
-                LatticeConfig::new((0.0, 0.0), config.cell_d.unwrap_or(config.radio_range))
-            }),
-            topo: Topology::new(&core_config),
+            topo: Topology::new(config.radio_range),
             cores: (0..shards).map(|i| ShardCore::new(i as u32, core_config, shards)).collect(),
             owner: Vec::new(),
             now_us: 0,
@@ -547,9 +532,11 @@ impl<A: NodeApp> ShardedSimulator<A> {
 
     /// The shard that owns the tile containing `position`.
     fn tile_owner(&self, position: (f64, f64)) -> u32 {
-        let Some(tiles) = &self.tiles else { return 0 };
+        if self.cores.len() == 1 {
+            return 0;
+        }
         let region = self.config.region_tiles.max(1) as i64;
-        region_owner(region, self.cores.len() as u64, tiles.snap(position))
+        region_owner(region, self.cores.len() as u64, self.topo.lattice().snap(position))
     }
 
     /// Adds a node at `position`, returning its id: the shared topology

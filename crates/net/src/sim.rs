@@ -8,12 +8,11 @@
 //! derived from the simulation seed, drawn on the emitting node in
 //! event-processing order. Both choices make a run a pure function of
 //! `(seed, SimConfig, apps)` that is independent of *which engine
-//! executes it*: the pluggable scheduler ([`SimConfig::scheduler`]),
-//! the spatial index ([`SimConfig::spatial`]), and the
-//! spatially-sharded parallel engine ([`crate::shard::ShardedSimulator`],
-//! [`SimConfig::shards`]) all reproduce the identical stream
-//! bit-for-bit. See `docs/SIM.md` for the full event-engine and shard
-//! contracts.
+//! executes it*: the pluggable scheduler ([`SimConfig::scheduler`])
+//! and the spatially-sharded parallel engine
+//! ([`crate::shard::ShardedSimulator`], [`SimConfig::shards`]) both
+//! reproduce the identical stream bit-for-bit. See `docs/SIM.md` for
+//! the full event-engine and shard contracts.
 
 use crate::payload::Payload;
 use crate::sched::EventKey;
@@ -46,25 +45,6 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// How the simulator answers "which nodes are within radio range?".
-///
-/// Both modes are *bit-identical*: candidates survive the same distance
-/// comparison in the same (ascending node id) order and draw the same RNG
-/// stream, so a run is a pure function of `(seed, SimConfig, apps)`
-/// regardless of mode — the differential test suites pin this down. The
-/// naive scan exists as the oracle for those tests and as the baseline
-/// for speedup measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpatialMode {
-    /// Hex-grid bucket index ([`crate::spatial::SpatialIndex`]): query
-    /// cost proportional to local density, not swarm size. The default.
-    #[default]
-    HexIndex,
-    /// Linear scan over all nodes — O(n) per broadcast and per BFS
-    /// visit, the pre-index reference behaviour.
-    NaiveScan,
-}
-
 /// How applications should put messages on the air.
 ///
 /// The simulator itself transports any [`Payload`]; this switch tells
@@ -91,11 +71,13 @@ pub enum DeliveryMode {
 ///
 /// Every field participates in determinism: two runs with equal seeds,
 /// equal configs, and equal apps produce identical event streams and
-/// [`Metrics`]. Fields that change only *how fast* the engine answers
-/// queries ([`SimConfig::spatial`], [`SimConfig::cell_d`],
-/// [`SimConfig::delivery`], [`SimConfig::shards`]) do not change the
-/// stream at all — only [`Metrics::cells_scanned`] (spatial mode) and
-/// [`Metrics::peak_queue_len`] (shard count) reflect them.
+/// [`Metrics`]. Fields that change only *how fast* the engine runs
+/// ([`SimConfig::scheduler`], [`SimConfig::delivery`],
+/// [`SimConfig::shards`], [`SimConfig::region_tiles`]) do not change
+/// the stream at all — only [`Metrics::peak_queue_len`] (shard count)
+/// reflects them. Neighbor queries always go through the hex index
+/// ([`crate::spatial::SpatialIndex`]) with cells one radio range
+/// across.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Radio range in meters: broadcasts reach nodes within this distance
@@ -124,18 +106,10 @@ pub struct SimConfig {
     /// time. Off by default: the unbatched event loop is the historical
     /// reference behaviour, bit-for-bit.
     pub batch_delivery: bool,
-    /// Event-queue engine; see [`SchedulerMode`]. Like
-    /// [`SimConfig::spatial`], this changes only how fast the engine
-    /// runs, never the event stream — both modes are bit-identical.
+    /// Event-queue engine; see [`SchedulerMode`]. This changes only how
+    /// fast the engine runs, never the event stream — both modes are
+    /// bit-identical.
     pub scheduler: SchedulerMode,
-    /// Neighbor-query engine; see [`SpatialMode`].
-    pub spatial: SpatialMode,
-    /// Hex cell scale for [`SpatialMode::HexIndex`], in meters. `None`
-    /// (the default) uses [`SimConfig::radio_range`], the sweet spot of
-    /// the cell-size heuristic (see [`crate::spatial`] module docs).
-    /// Ignored under [`SpatialMode::NaiveScan`]. Also the tile scale the
-    /// sharded engine partitions the plane by.
-    pub cell_d: Option<f64>,
     /// Message representation payload-aware applications should send;
     /// see [`DeliveryMode`].
     pub delivery: DeliveryMode,
@@ -169,8 +143,6 @@ impl Default for SimConfig {
             loss_rate: 0.0,
             batch_delivery: false,
             scheduler: SchedulerMode::Calendar,
-            spatial: SpatialMode::HexIndex,
-            cell_d: None,
             delivery: DeliveryMode::InMemory,
             shards: 1,
             region_tiles: 1,
@@ -318,15 +290,12 @@ pub struct Metrics {
     pub payload_bytes: u64,
     /// Neighbor range queries answered: one per broadcast plus one per
     /// node visited by [`Simulator::shortest_path`] /
-    /// [`Simulator::connected_components`] BFS. Identical across
-    /// [`SpatialMode`]s (part of the differential oracle).
+    /// [`Simulator::connected_components`] BFS.
     pub neighbor_queries: u64,
     /// Hex cells examined to answer those queries — the index-efficiency
     /// observable: `cells_scanned / neighbor_queries` stays ≈ constant
-    /// (19 measured at the default cell size) however large the swarm
-    /// grows.
-    /// Always 0 under [`SpatialMode::NaiveScan`], which scans nodes, not
-    /// cells; differential comparisons must mask this one field.
+    /// (19 measured with cells one radio range across) however large
+    /// the swarm grows.
     pub cells_scanned: u64,
     /// Events ever enqueued: every delivery, timer firing, and
     /// recurrence re-arm, each counted exactly once however many times
@@ -473,9 +442,8 @@ pub trait SimDriver {
 
 /// The single-threaded simulator: the reference engine, and the
 /// bit-identity oracle the sharded [`ShardedSimulator`] is
-/// differentially proven against, exactly as [`SpatialMode::NaiveScan`]
-/// and [`SchedulerMode::BinaryHeap`] serve the spatial and scheduler
-/// layers.
+/// differentially proven against, as [`SchedulerMode::BinaryHeap`]
+/// serves the scheduler layer.
 ///
 /// It is the one-shard configuration of that same engine: one core
 /// owns every node, the one event queue and the [`Metrics`], and runs
@@ -959,23 +927,16 @@ mod tests {
             }
             fn on_message(&mut self, _: &mut NodeCtx<'_>, _: NodeId, _: &Payload) {}
         }
-        let run = |spatial: SpatialMode| {
-            let config = SimConfig { spatial, ..SimConfig::default() };
-            let mut sim = Simulator::new(config, 1);
-            sim.add_node((0.0, 0.0), Caster); // sender
-            sim.add_node((10.0, 0.0), Caster); // nearest
-            sim.add_node((20.0, 0.0), Caster); // second nearest
-            sim.add_node((30.0, 0.0), Caster); // in range but capped away
-            sim.add_node((80.0, 0.0), Caster); // out of range anyway
-            sim.start();
-            sim.run();
-            *sim.metrics()
-        };
-        let indexed = run(SpatialMode::HexIndex);
-        let naive = run(SpatialMode::NaiveScan);
-        assert_eq!(indexed.broadcasts, 1);
-        assert_eq!(indexed.delivered, 2, "fan-out capped at k = 2");
-        assert_eq!(Metrics { cells_scanned: 0, ..indexed }, naive, "spatial modes diverged");
+        let mut sim = Simulator::new(SimConfig::default(), 1);
+        sim.add_node((0.0, 0.0), Caster); // sender
+        sim.add_node((10.0, 0.0), Caster); // nearest
+        sim.add_node((20.0, 0.0), Caster); // second nearest
+        sim.add_node((30.0, 0.0), Caster); // in range but capped away
+        sim.add_node((80.0, 0.0), Caster); // out of range anyway
+        sim.start();
+        sim.run();
+        assert_eq!(sim.metrics().broadcasts, 1);
+        assert_eq!(sim.metrics().delivered, 2, "fan-out capped at k = 2");
     }
 
     #[test]

@@ -25,15 +25,17 @@
 //! * `d ≈ R` balances the two: ≈ 17 cells per query analytically — 19
 //!   measured, boundary cells included — and a candidate set only
 //!   ≈ (1 + 2/√3)² ≈ 4.6× the true in-range population, independent
-//!   of swarm size. This is the default
-//!   ([`SimConfig::cell_d`](crate::sim::SimConfig::cell_d) = `None` uses
-//!   the radio range).
+//!   of swarm size. This is the one scale the simulator uses: its
+//!   topology builds the index with cells one radio range across.
 //!
 //! Queries return candidate ids in ascending order and leave the exact
-//! distance filter to the caller, which is what makes the indexed
-//! simulator *bit-identical* to the naive scan: same candidates surviving
-//! the same `distance(a, b) <= range` comparison, visited in the same
-//! order, drawing the same RNG stream.
+//! distance filter to the caller, so the simulator sees exactly the
+//! nodes an all-node scan would keep: same candidates surviving the
+//! same `distance(a, b) <= range` comparison, visited in the same
+//! order, drawing the same RNG stream. `tests/spatial_differential.rs`
+//! holds the index queries to that scan over random scales and
+//! boundary placements, and the topology's tests hold the simulator's
+//! broadcast, k-nearest and routing queries to it.
 //!
 //! # Shared read-only queries
 //!
@@ -76,8 +78,8 @@ pub struct SpatialIndex {
 
 impl SpatialIndex {
     /// Creates an empty index with hexagonal cell scale `cell_d` (see the
-    /// module docs for how to choose it; the simulator defaults to the
-    /// radio range).
+    /// module docs for how to choose it; the simulator uses the radio
+    /// range).
     ///
     /// # Panics
     ///
@@ -200,7 +202,7 @@ impl SpatialIndex {
             }
         }
         // Buckets are internally sorted but arrive in cell order; restore
-        // the global ascending id order the naive scan iterates in.
+        // the global ascending id order an all-node scan iterates in.
         out.sort_unstable();
         scratch.cover.len() as u64
     }
@@ -209,7 +211,7 @@ impl SpatialIndex {
     /// within `max_range` of it (fewer if fewer exist), ordered by
     /// ascending `(distance, id)` — ties at equal distance break toward
     /// the smaller id, which is what keeps the answer identical to a
-    /// sorted naive scan. `pos_of` supplies each candidate's exact
+    /// sorted all-node scan. `pos_of` supplies each candidate's exact
     /// position (the index stores cells, not coordinates). Returns the
     /// number of cells scanned.
     ///

@@ -1,5 +1,5 @@
-//! Shared radio-topology geometry: node positions, the optional
-//! spatial index, and the neighbor-query primitives both engines —
+//! Shared radio-topology geometry: node positions, the hex spatial
+//! index, and the neighbor-query primitives both engines —
 //! the single-threaded [`crate::sim::Simulator`] and the per-shard
 //! cores of [`crate::shard::ShardedSimulator`] — answer broadcasts
 //! and routing from.
@@ -13,8 +13,9 @@
 //! [`TopoScratch`], so each reader — oracle, shard core, BFS on the
 //! coordinator — brings its own reusable buffers.
 
-use crate::sim::{Metrics, SimConfig, SpatialMode};
+use crate::sim::Metrics;
 use crate::spatial::{SpatialIndex, SpatialScratch};
+use msb_lattice::LatticeConfig;
 
 /// Euclidean distance between two positions.
 pub(crate) fn distance(a: (f64, f64), b: (f64, f64)) -> f64 {
@@ -33,33 +34,31 @@ pub(crate) struct TopoScratch {
 }
 
 /// The geometry every engine queries: one position per node (indexed
-/// by raw node id) and the hex index when [`SpatialMode::HexIndex`] is
-/// selected.
+/// by raw node id) and the hex index over them, with cells one radio
+/// range across (the cell-size sweet spot, see [`crate::spatial`]).
 #[derive(Debug, Clone)]
 pub(crate) struct Topology {
     radio_range: f64,
     positions: Vec<(f64, f64)>,
-    /// `Some` under [`SpatialMode::HexIndex`], kept in lockstep with
-    /// `positions` by [`Topology::push`] / [`Topology::set_position`].
-    index: Option<SpatialIndex>,
+    /// Kept in lockstep with `positions` by [`Topology::push`] /
+    /// [`Topology::set_position`].
+    index: SpatialIndex,
 }
 
 impl Topology {
-    pub(crate) fn new(config: &SimConfig) -> Self {
-        let index = match config.spatial {
-            SpatialMode::HexIndex => {
-                Some(SpatialIndex::new(config.cell_d.unwrap_or(config.radio_range)))
-            }
-            SpatialMode::NaiveScan => None,
-        };
-        Topology { radio_range: config.radio_range, positions: Vec::new(), index }
+    pub(crate) fn new(radio_range: f64) -> Self {
+        Topology { radio_range, positions: Vec::new(), index: SpatialIndex::new(radio_range) }
+    }
+
+    /// The index's hex lattice — also the tile lattice the sharded
+    /// engine partitions the plane by.
+    pub(crate) fn lattice(&self) -> &LatticeConfig {
+        self.index.lattice()
     }
 
     pub(crate) fn push(&mut self, position: (f64, f64)) {
         self.positions.push(position);
-        if let Some(index) = &mut self.index {
-            index.push(position);
-        }
+        self.index.push(position);
     }
 
     pub(crate) fn position(&self, i: usize) -> (f64, f64) {
@@ -68,17 +67,13 @@ impl Topology {
 
     pub(crate) fn set_position(&mut self, i: usize, position: (f64, f64)) {
         self.positions[i] = position;
-        if let Some(index) = &mut self.index {
-            index.update(i as u32, position);
-        }
+        self.index.update(i as u32, position);
     }
 
     /// Releases excess index capacity left by churn (see
     /// [`SpatialIndex::compact`]). No observable effect on queries.
     pub(crate) fn compact(&mut self) {
-        if let Some(index) = &mut self.index {
-            index.compact();
-        }
+        self.index.compact();
     }
 
     /// Estimated resident heap bytes: the position table plus the
@@ -86,17 +81,15 @@ impl Topology {
     /// for telemetry gauges.
     pub(crate) fn resident_bytes(&self) -> u64 {
         let positions = self.positions.capacity() * std::mem::size_of::<(f64, f64)>();
-        positions as u64 + self.index.as_ref().map_or(0, |i| i.resident_bytes())
+        positions as u64 + self.index.resident_bytes()
     }
 
     /// One neighbor range query around node `cur`: invokes `f(i, pos_i)`
-    /// for every node that *may* be within radio range, in ascending id
-    /// order. Under [`SpatialMode::HexIndex`] only nodes in nearby cells
-    /// are offered; under [`SpatialMode::NaiveScan`] every node is. The
-    /// caller applies the exact `distance <= range` filter — candidates
-    /// surviving it are therefore identical (same ids, same order) in
-    /// both modes, which is the bit-identity the differential oracle
-    /// proves.
+    /// for every node in the hex cells that *may* hold a node within
+    /// radio range, in ascending id order. The caller applies the exact
+    /// `distance <= range` filter, so the survivors are exactly the
+    /// nodes an all-node scan would keep, in the same order (the test
+    /// module holds the queries to that scan).
     pub(crate) fn for_each_candidate(
         &self,
         scratch: &mut TopoScratch,
@@ -105,24 +98,17 @@ impl Topology {
         mut f: impl FnMut(usize, (f64, f64)),
     ) {
         metrics.neighbor_queries += 1;
-        match &self.index {
-            Some(index) => {
-                let center = self.positions[cur];
-                let range = self.radio_range;
-                let mut cand = std::mem::take(&mut scratch.cand);
-                metrics.cells_scanned +=
-                    index.candidates_into(&mut scratch.spatial, center, range, &mut cand);
-                for &i in &cand {
-                    f(i as usize, self.positions[i as usize]);
-                }
-                scratch.cand = cand;
-            }
-            None => {
-                for (i, &pos) in self.positions.iter().enumerate() {
-                    f(i, pos);
-                }
-            }
+        let mut cand = std::mem::take(&mut scratch.cand);
+        metrics.cells_scanned += self.index.candidates_into(
+            &mut scratch.spatial,
+            self.positions[cur],
+            self.radio_range,
+            &mut cand,
+        );
+        for &i in &cand {
+            f(i as usize, self.positions[i as usize]);
         }
+        scratch.cand = cand;
     }
 
     /// Every other node within radio range of `from`, with its distance,
@@ -149,11 +135,8 @@ impl Topology {
 
     /// The `k` nearest other nodes within radio range of `from` (ties at
     /// equal distance break toward the smaller id), returned in ascending
-    /// *id* order — the fan-out-capped broadcast target set. Under
-    /// [`SpatialMode::HexIndex`] the set comes from
-    /// [`SpatialIndex::k_nearest_into`]; under [`SpatialMode::NaiveScan`]
-    /// from a full scan ranked the same way — both select identical
-    /// targets, which the spatial differential suite pins.
+    /// *id* order — the fan-out-capped broadcast target set, selected by
+    /// [`SpatialIndex::k_nearest_into`].
     pub(crate) fn k_nearest(
         &self,
         scratch: &mut TopoScratch,
@@ -163,41 +146,19 @@ impl Topology {
         out: &mut Vec<u32>,
     ) {
         metrics.neighbor_queries += 1;
-        let src = self.positions[from];
-        let range = self.radio_range;
-        match &self.index {
-            Some(index) => {
-                // k + 1 slots so the querying node (distance 0) never
-                // crowds out a real neighbor.
-                let positions = &self.positions;
-                metrics.cells_scanned += index.k_nearest_into(
-                    &mut scratch.spatial,
-                    src,
-                    k + 1,
-                    range,
-                    |i| positions[i as usize],
-                    out,
-                );
-                out.retain(|&i| i != from as u32);
-                out.truncate(k);
-            }
-            None => {
-                let mut ranked: Vec<(f64, u32)> = self
-                    .positions
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != from)
-                    .map(|(i, &pos)| (distance(src, pos), i as u32))
-                    .filter(|&(d, _)| d <= range)
-                    .collect();
-                ranked.sort_unstable_by(|a, b| {
-                    a.partial_cmp(b).expect("distances are finite, never NaN")
-                });
-                ranked.truncate(k);
-                out.clear();
-                out.extend(ranked.into_iter().map(|(_, i)| i));
-            }
-        }
+        // k + 1 slots so the querying node (distance 0) never crowds out
+        // a real neighbor.
+        let positions = &self.positions;
+        metrics.cells_scanned += self.index.k_nearest_into(
+            &mut scratch.spatial,
+            positions[from],
+            k + 1,
+            self.radio_range,
+            |i| positions[i as usize],
+            out,
+        );
+        out.retain(|&i| i != from as u32);
+        out.truncate(k);
         // Deliver in ascending id order, like a full broadcast.
         out.sort_unstable();
     }
@@ -278,5 +239,181 @@ impl Topology {
             components.push(comp);
         }
         components
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
+
+    /// `n` nodes on a 1/8 m grid over `clusters` islands seven radio
+    /// ranges apart (so some pairs are disconnected). Of every five
+    /// nodes, two sit exactly one radio range from an earlier node
+    /// along an axis (an exact distance on this grid) and one shares an
+    /// earlier node's position.
+    fn layout(seed: u64, n: usize, clusters: usize, range: f64) -> Vec<(f64, f64)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let span = (3.0 * range * 8.0) as i64;
+        let mut out: Vec<(f64, f64)> = Vec::with_capacity(n);
+        for i in 0..n {
+            let p = match (i % 5, out.len()) {
+                (0 | 1, _) | (_, 0) => {
+                    let island = rng.gen_range(0..clusters) as f64 * 10.0 * range;
+                    let x = rng.gen_range(0..span) as f64 / 8.0;
+                    let y = rng.gen_range(0..span) as f64 / 8.0;
+                    (island + x, y)
+                }
+                (2 | 3, len) => {
+                    let (x, y) = out[rng.gen_range(0..len)];
+                    match rng.gen_range(0..4) {
+                        0 => (x + range, y),
+                        1 => (x - range, y),
+                        2 => (x, y + range),
+                        _ => (x, y - range),
+                    }
+                }
+                (_, len) => out[rng.gen_range(0..len)],
+            };
+            out.push(p);
+        }
+        out
+    }
+
+    /// The all-node scan: every other node within `range` of `from`,
+    /// with its distance, in ascending id order.
+    fn scan(positions: &[(f64, f64)], from: usize, range: f64) -> Vec<(u32, f64)> {
+        let src = positions[from];
+        (0..positions.len())
+            .filter(|&i| i != from)
+            .map(|i| (i as u32, distance(src, positions[i])))
+            .filter(|&(_, d)| d <= range)
+            .collect()
+    }
+
+    /// The `k` nearest in the scan by `(distance, id)`, in id order.
+    fn scan_k_nearest(positions: &[(f64, f64)], from: usize, k: usize, range: f64) -> Vec<u32> {
+        let mut ranked: Vec<(f64, u32)> =
+            scan(positions, from, range).into_iter().map(|(i, d)| (d, i)).collect();
+        ranked.sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
+        let mut ids: Vec<u32> = ranked.into_iter().take(k).map(|(_, i)| i).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// BFS over the scan, with one neighbor query per expanded node as
+    /// [`Topology::shortest_path`] counts them.
+    fn scan_shortest_path(
+        positions: &[(f64, f64)],
+        from: usize,
+        to: usize,
+        range: f64,
+    ) -> (Option<Vec<u32>>, u64) {
+        let mut prev = vec![None; positions.len()];
+        let mut visited = vec![false; positions.len()];
+        let mut queue = VecDeque::from([from]);
+        visited[from] = true;
+        let mut queries = 0;
+        while let Some(cur) = queue.pop_front() {
+            if cur == to {
+                let mut path = vec![to as u32];
+                while let Some(p) = prev[path[path.len() - 1] as usize] {
+                    path.push(p);
+                }
+                path.reverse();
+                return (Some(path), queries);
+            }
+            queries += 1;
+            for (i, _) in scan(positions, cur, range) {
+                if !visited[i as usize] {
+                    visited[i as usize] = true;
+                    prev[i as usize] = Some(cur as u32);
+                    queue.push_back(i as usize);
+                }
+            }
+        }
+        (None, queries)
+    }
+
+    /// Connected components over the scan, each sorted, in order of
+    /// their smallest id.
+    fn scan_components(positions: &[(f64, f64)], range: f64) -> Vec<Vec<u32>> {
+        let mut seen = vec![false; positions.len()];
+        let mut components = Vec::new();
+        for start in 0..positions.len() {
+            if seen[start] {
+                continue;
+            }
+            seen[start] = true;
+            let mut comp = vec![start as u32];
+            let mut next = 0;
+            while next < comp.len() {
+                for (i, _) in scan(positions, comp[next] as usize, range) {
+                    if !seen[i as usize] {
+                        seen[i as usize] = true;
+                        comp.push(i);
+                    }
+                }
+                next += 1;
+            }
+            comp.sort_unstable();
+            components.push(comp);
+        }
+        components
+    }
+
+    proptest! {
+        /// Broadcast targets, k-nearest sets, BFS routes (with their
+        /// query counts) and components from the hex index equal what
+        /// an all-node scan gives, on layouts with nodes exactly at
+        /// radio range, co-located nodes and disconnected islands,
+        /// before and after a third of the nodes move.
+        #[test]
+        fn indexed_queries_equal_an_all_node_scan(
+            seed in any::<u64>(),
+            n in 1usize..60,
+            clusters in 1usize..4,
+            range_idx in 0usize..4,
+            k in 0usize..10,
+        ) {
+            let range = [7.5f64, 20.0, 50.0, 64.25][range_idx];
+            let mut positions = layout(seed, n, clusters, range);
+            let moved = layout(!seed, n, clusters, range);
+            let mut topo = Topology::new(range);
+            for &p in &positions {
+                topo.push(p);
+            }
+            let mut scratch = TopoScratch::default();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x70);
+            let (mut targets, mut nearest) = (Vec::new(), Vec::new());
+            for round in 0..2 {
+                for from in 0..n {
+                    let mut m = Metrics::default();
+                    topo.broadcast_targets(&mut scratch, &mut m, from, &mut targets);
+                    prop_assert_eq!(&targets, &scan(&positions, from, range), "round {} from {}", round, from);
+                    topo.k_nearest(&mut scratch, &mut m, from, k, &mut nearest);
+                    prop_assert_eq!(&nearest, &scan_k_nearest(&positions, from, k, range), "round {} from {}", round, from);
+                    prop_assert_eq!(m.neighbor_queries, 2);
+                    let to = rng.gen_range(0..n);
+                    let mut m = Metrics::default();
+                    let path = topo.shortest_path(&mut scratch, &mut m, from, to);
+                    let (want, queries) = scan_shortest_path(&positions, from, to, range);
+                    prop_assert_eq!(path, want, "round {} route {} -> {}", round, from, to);
+                    prop_assert_eq!(m.neighbor_queries, queries, "round {} route {} -> {}", round, from, to);
+                }
+                let mut m = Metrics::default();
+                prop_assert_eq!(
+                    topo.connected_components(&mut scratch, &mut m),
+                    scan_components(&positions, range)
+                );
+                for i in (0..n).step_by(3) {
+                    topo.set_position(i, moved[i]);
+                    positions[i] = moved[i];
+                }
+            }
+        }
     }
 }

@@ -1,19 +1,16 @@
 //! Differential oracle: the hex-grid spatial index against the naive
 //! linear scan.
 //!
-//! The refactor's contract is *bit identity*: with the same seed and
-//! config, [`SpatialMode::HexIndex`] and [`SpatialMode::NaiveScan`] must
-//! produce the same delivery recipients in the same event order at the
-//! same timestamps, the same routes, the same components, and the same
-//! [`Metrics`] — except [`Metrics::cells_scanned`], which measures index
-//! work and is definitionally 0 for the naive scan. These tests pin that
-//! contract with property tests over random positions, ranges, and
-//! lattice scales (including nodes exactly on cell boundaries and
-//! exactly at radio range) and with full-simulation trace comparisons
-//! under mobility.
+//! The index's contract is *bit identity* with a scan over every node:
+//! the same candidates survive the same `distance <= range` filter, in
+//! the same ascending id order, and k-nearest selection ranks them the
+//! same way. These tests pin that contract with property tests over
+//! random positions, ranges, and lattice scales (including nodes
+//! exactly on cell boundaries and exactly at radio range) and under
+//! incremental position updates. The simulator's own queries
+//! (broadcast targets, k-nearest, BFS routes) are held to the scan by
+//! the property test in `src/topo.rs`.
 
-use msb_net::mobility::{Bounds, RandomWaypoint};
-use msb_net::sim::{Metrics, NodeApp, NodeCtx, NodeId, SimConfig, Simulator, SpatialMode};
 use msb_net::spatial::{SpatialIndex, SpatialScratch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -187,145 +184,4 @@ proptest! {
             prop_assert_eq!(indexed, naive, "query from node {} at {:?}", i, p);
         }
     }
-}
-
-/// Records every delivery with full ordering information.
-/// One delivery record: (now_us, from, payload).
-type TraceEntry = (u64, NodeId, Vec<u8>);
-
-struct TraceApp {
-    /// One [`TraceEntry`] per delivery, in processing order.
-    trace: Vec<TraceEntry>,
-    /// Gossip depth: how many times a heard message is re-broadcast.
-    chattiness: usize,
-}
-
-impl NodeApp for TraceApp {
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        // Several seeds talk at t=0 so floods collide and interleave.
-        if ctx.node_id().index().is_multiple_of(5) {
-            ctx.broadcast(vec![ctx.node_id().index() as u8]);
-        }
-    }
-    fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, payload: &msb_net::Payload) {
-        let payload = payload.as_bytes().expect("test payloads are bytes");
-        self.trace.push((ctx.now_us(), from, payload.to_vec()));
-        if payload.len() < self.chattiness {
-            let mut p = payload.to_vec();
-            p.push(ctx.node_id().index() as u8);
-            ctx.broadcast(p);
-        } else if payload.len() == self.chattiness {
-            // Tail: unicast back to the flood origin, exercising
-            // shortest-path routing through the index. The origin itself
-            // only records the echo (a self-unicast would ping-pong
-            // forever at the same instant).
-            let origin = NodeId::new(payload[0] as u32);
-            if origin != ctx.node_id() {
-                ctx.unicast(origin, payload.to_vec());
-            }
-        }
-    }
-}
-
-/// Runs a gossiping swarm with mobility ticks between phases and returns
-/// everything observable: per-node traces, metrics, and the final clock.
-fn run_trace(mode: SpatialMode, seed: u64, n: usize) -> (Vec<Vec<TraceEntry>>, Metrics, u64) {
-    let config = SimConfig {
-        loss_rate: 0.05,
-        spatial: mode,
-        cell_d: Some(35.0), // deliberately != radio_range: identity must not depend on the heuristic
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(config, seed);
-    let mut mobility = RandomWaypoint::new(
-        n,
-        Bounds { width: 220.0, height: 220.0 },
-        1.0,
-        8.0,
-        0.2,
-        seed ^ 0x5eed,
-    );
-    let placed: Vec<((f64, f64), TraceApp)> = mobility
-        .positions()
-        .into_iter()
-        .map(|p| (p, TraceApp { trace: Vec::new(), chattiness: 3 }))
-        .collect();
-    sim.add_nodes(placed);
-    sim.start();
-    // Interleave event processing with mobility: run a phase, move
-    // everyone (incremental index updates), poke the swarm again.
-    let mut buf = Vec::new();
-    for phase in 0..3u64 {
-        sim.run_until((phase + 1) * 40_000);
-        mobility.advance(5.0);
-        mobility.positions_into(&mut buf);
-        sim.set_positions(&buf);
-        let poke = NodeId::new((phase as u32 * 7) % n as u32);
-        sim.inject(poke, poke, vec![poke.index() as u8]);
-    }
-    sim.run();
-    let traces =
-        (0..n).map(|i| std::mem::take(&mut sim.app_mut(NodeId::new(i as u32)).trace)).collect();
-    (traces, *sim.metrics(), sim.now_us())
-}
-
-/// Full-simulation differential: identical traces (recipients, order,
-/// timestamps, payloads), identical metrics modulo `cells_scanned`, and
-/// an identical final clock across spatial modes, under loss, jitter,
-/// mobility, and mid-run injection.
-#[test]
-fn simulation_trace_bit_identical_across_modes() {
-    for seed in [1u64, 0xBEEF, 42424242] {
-        let (t_idx, m_idx, clock_idx) = run_trace(SpatialMode::HexIndex, seed, 24);
-        let (t_naive, m_naive, clock_naive) = run_trace(SpatialMode::NaiveScan, seed, 24);
-        assert_eq!(t_idx, t_naive, "seed {seed}: delivery traces diverged");
-        assert_eq!(clock_idx, clock_naive, "seed {seed}: final clock diverged");
-        assert_eq!(
-            Metrics { cells_scanned: 0, ..m_idx },
-            m_naive,
-            "seed {seed}: transport metrics diverged"
-        );
-        assert_eq!(m_naive.cells_scanned, 0, "naive scan must not report cell work");
-        assert!(m_idx.cells_scanned > 0, "indexed run must report cell work");
-        assert_eq!(
-            m_idx.neighbor_queries, m_naive.neighbor_queries,
-            "seed {seed}: query counts must agree across modes"
-        );
-    }
-}
-
-/// Satellite regression: `shortest_path` and `connected_components` reuse
-/// the index and must pin identical outputs on a seeded random topology.
-#[test]
-fn paths_and_components_identical_on_seeded_topology() {
-    struct Inert;
-    impl NodeApp for Inert {
-        fn on_message(&mut self, _: &mut NodeCtx<'_>, _: NodeId, _: &msb_net::Payload) {}
-    }
-    let build = |mode: SpatialMode| {
-        let config = SimConfig { spatial: mode, ..SimConfig::default() };
-        let mut sim = Simulator::new(config, 7);
-        let mut rng = StdRng::seed_from_u64(0x70_70);
-        // Clustered topology with several disconnected islands.
-        for cluster in 0..6 {
-            let (cx, cy) = (cluster as f64 * 180.0, (cluster % 2) as f64 * 160.0);
-            for _ in 0..12 {
-                let p = (cx + rng.gen_range(-45.0..45.0), cy + rng.gen_range(-45.0..45.0));
-                sim.add_node(p, Inert);
-            }
-        }
-        sim
-    };
-    let mut indexed = build(SpatialMode::HexIndex);
-    let mut naive = build(SpatialMode::NaiveScan);
-    assert_eq!(indexed.connected_components(), naive.connected_components());
-    for (from, to) in [(0u32, 71u32), (3, 3), (12, 60), (5, 11), (70, 1)] {
-        assert_eq!(
-            indexed.shortest_path(NodeId::new(from), NodeId::new(to)),
-            naive.shortest_path(NodeId::new(from), NodeId::new(to)),
-            "path {from}->{to} diverged"
-        );
-    }
-    // The BFS work is observable and identical in query count.
-    assert_eq!(indexed.metrics().neighbor_queries, naive.metrics().neighbor_queries);
 }

@@ -32,16 +32,9 @@ pub enum TraceTag {
     /// One node handed between shards at a quiesce; `a` = node id,
     /// `b` = `from_shard << 32 | to_shard`.
     Handoff,
-    /// The calendar scheduler resized its bucket width; `a` = total
-    /// resizes so far, `b` = new bucket width (µs).
-    SchedResize,
-    /// Scheduler pop batch marker; `a` = pops in the batch.
-    SchedPop,
     /// A protocol phase transition observed by an app; `a`/`b` are
     /// protocol-defined.
     ProtocolPhase,
-    /// Escape hatch for call sites without a dedicated tag.
-    Custom,
 }
 
 impl TraceTag {
@@ -51,10 +44,7 @@ impl TraceTag {
             TraceTag::Stall => "stall",
             TraceTag::Quiesce => "quiesce",
             TraceTag::Handoff => "handoff",
-            TraceTag::SchedResize => "sched_resize",
-            TraceTag::SchedPop => "sched_pop",
             TraceTag::ProtocolPhase => "protocol_phase",
-            TraceTag::Custom => "custom",
         }
     }
 }

@@ -28,7 +28,7 @@ fn main() {
     // 64-hop TTL.
     let mut sim = build_swarm(
         positions,
-        &swarm::SwarmParams::new(7, 64).with_spatial(SpatialMode::HexIndex),
+        &swarm::SwarmParams::new(7, 64),
         swarm::lighthouse_request(),
         swarm::lighthouse_matching(),
         swarm::noise_profile,

@@ -93,7 +93,6 @@ pub mod prelude {
     pub use msb_net::shard::ShardedSimulator;
     pub use msb_net::sim::{
         DeliveryMode, NodeApp, NodeCtx, NodeId, SchedulerMode, SimConfig, SimDriver, Simulator,
-        SpatialMode,
     };
     pub use msb_net::spatial::SpatialIndex;
     pub use msb_profile::{
