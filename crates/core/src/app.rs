@@ -30,7 +30,6 @@ use msb_profile::entropy::EntropyModel;
 use msb_profile::profile::Profile;
 use msb_profile::request::RequestProfile;
 use msb_wire::{peek_kind, FrameKind, Message};
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// An application message, as it rides the event queue under
@@ -43,13 +42,6 @@ enum AppMsg {
 }
 
 impl AppMsg {
-    fn kind(&self) -> FrameKind {
-        match self {
-            AppMsg::Request(_) => FrameKind::Request,
-            AppMsg::Reply(_) => FrameKind::Reply,
-        }
-    }
-
     fn frame_len(&self) -> usize {
         match self {
             AppMsg::Request(p) => p.frame_len(),
@@ -74,15 +66,6 @@ impl AppMsg {
             DeliveryMode::EncodedFrames => Payload::frame(self.encode()),
         }
     }
-}
-
-/// Classifies a payload without decoding its body: the in-memory kind,
-/// or the envelope kind of an encoded frame.
-fn payload_kind(payload: &Payload) -> Option<FrameKind> {
-    if let Some(msg) = payload.downcast_ref::<AppMsg>() {
-        return Some(msg.kind());
-    }
-    payload.as_bytes().and_then(|b| peek_kind(b).ok())
 }
 
 /// Periodic re-broadcast of carried requests — the mobility-driven
@@ -207,8 +190,7 @@ pub struct FriendingApp {
     pending_request: Option<RequestProfile>,
     initiator: Option<Initiator>,
     /// Responder state, built lazily on the first incoming request (the
-    /// node id is only known then) and reused for every request after —
-    /// including whole batches under [`msb_net::sim::SimConfig::batch_delivery`].
+    /// node id is only known then) and reused for every request after.
     responder: Option<Responder>,
     sessions: Vec<SessionSecret>,
     flood: FloodState,
@@ -305,85 +287,6 @@ impl FriendingApp {
         self.responder.as_ref().expect("just built")
     }
 
-    /// Borrows an in-memory request or strictly decodes an encoded one;
-    /// logs (and swallows) decode failures.
-    fn parse_request<'a>(&mut self, payload: &'a Payload) -> Option<Cow<'a, RequestPackage>> {
-        if let Some(AppMsg::Request(pkg)) = payload.downcast_ref::<AppMsg>() {
-            return Some(Cow::Borrowed(pkg));
-        }
-        let bytes = payload.as_bytes()?;
-        match RequestPackage::decode(bytes) {
-            Ok(pkg) => Some(Cow::Owned(pkg)),
-            Err(error) => {
-                self.events.push(AppEvent::DecodeFailed { error });
-                None
-            }
-        }
-    }
-
-    /// Admission control for one incoming request: own-echo drop, flood
-    /// classification, per-initiator rate guard. Draws no randomness, so
-    /// running it for a whole chunk before any responder work (the
-    /// batched path) leaves the RNG stream identical to the
-    /// one-at-a-time path.
-    fn admit_request(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        package: &RequestPackage,
-    ) -> Option<FloodDecision> {
-        let my_id = ctx.node_id().index() as u32;
-        if package.initiator == my_id {
-            return None; // own flood echo
-        }
-        let request_id = package.request_id();
-        let decision =
-            self.flood.classify(request_id, package.ttl, ctx.now_us(), package.expires_us);
-        match decision {
-            FloodDecision::Duplicate | FloodDecision::Expired => return None,
-            FloodDecision::Relay | FloodDecision::Absorb => {}
-        }
-        // DoS guard: drop over-chatty initiators before any crypto work.
-        if !self.guard.allow(package.initiator, ctx.now_us()) {
-            self.events.push(AppEvent::RateLimited { from: package.initiator });
-            return None;
-        }
-        Some(decision)
-    }
-
-    /// Post-responder bookkeeping for one request: candidate events, the
-    /// modelled computation delay before the reply, and the flood relay.
-    fn complete_request(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        package: &RequestPackage,
-        decision: FloodDecision,
-        outcome: ResponderOutcome,
-    ) {
-        let request_id = package.request_id();
-        let mut verified_match = false;
-        if let ResponderOutcome::Reply { reply, sessions, verified, stats } = outcome {
-            self.events.push(AppEvent::BecameCandidate { request_id, keys: stats.distinct_keys });
-            verified_match = verified;
-            // Model the candidate-key computation time before replying.
-            let delay = self.per_key_cost_us * sessions.len().max(1) as u64;
-            let token = self.next_token;
-            self.next_token += 1;
-            self.pending_replies.insert(token, (package.initiator, reply));
-            self.sessions.extend(sessions);
-            ctx.set_timer(delay, token);
-        }
-
-        // Relay unless this node verifiably completed the search (P1).
-        if decision == FloodDecision::Relay && !verified_match {
-            let mut fwd = package.clone();
-            fwd.ttl -= 1;
-            self.arm_reflood(ctx, &fwd, request_id);
-            let payload = AppMsg::Request(fwd).into_payload(ctx.delivery());
-            ctx.broadcast(payload);
-            self.events.push(AppEvent::Relayed { request_id });
-        }
-    }
-
     /// Starts the periodic re-broadcast of `package` when a
     /// [`RefloodPolicy`] is attached and at least one firing fits
     /// before the package expires. The recurring timer stops itself at
@@ -445,51 +348,46 @@ impl FriendingApp {
     }
 
     fn handle_request(&mut self, ctx: &mut NodeCtx<'_>, package: &RequestPackage) {
-        let Some(decision) = self.admit_request(ctx, package) else {
-            return;
-        };
         let my_id = ctx.node_id().index() as u32;
+        if package.initiator == my_id {
+            return; // own flood echo
+        }
+        let request_id = package.request_id();
+        let decision =
+            self.flood.classify(request_id, package.ttl, ctx.now_us(), package.expires_us);
+        match decision {
+            FloodDecision::Duplicate | FloodDecision::Expired => return,
+            FloodDecision::Relay | FloodDecision::Absorb => {}
+        }
+        // DoS guard: drop over-chatty initiators before any crypto work.
+        if !self.guard.allow(package.initiator, ctx.now_us()) {
+            self.events.push(AppEvent::RateLimited { from: package.initiator });
+            return;
+        }
+
         let now = ctx.now_us();
         let outcome = self.responder(my_id).handle(package, now, ctx.rng());
-        self.complete_request(ctx, package, decision, outcome);
-    }
+        let mut verified_match = false;
+        if let ResponderOutcome::Reply { reply, sessions, verified, stats } = outcome {
+            self.events.push(AppEvent::BecameCandidate { request_id, keys: stats.distinct_keys });
+            verified_match = verified;
+            // Model the candidate-key computation time before replying.
+            let delay = self.per_key_cost_us * sessions.len().max(1) as u64;
+            let token = self.next_token;
+            self.next_token += 1;
+            self.pending_replies.insert(token, (package.initiator, reply));
+            self.sessions.extend(sessions);
+            ctx.set_timer(delay, token);
+        }
 
-    /// Batched request handling: parse and admit the whole chunk, run
-    /// the cached responder over it in one [`Responder::handle_batch`]
-    /// call, then complete each request in order.
-    ///
-    /// Within the responder pass, randomness is drawn in package order,
-    /// exactly like consecutive [`Responder::handle`] calls (that
-    /// equivalence is `handle_batch`'s contract and is what the
-    /// differential e2e test pins down). At the *simulator* level,
-    /// though, batched delivery defers every queued action — and its
-    /// jitter/loss draws from the shared sim RNG — until after the whole
-    /// chunk, where unbatched delivery interleaves them between
-    /// messages. A run with `batch_delivery` on is therefore
-    /// deterministic and self-consistent, but not byte-identical to the
-    /// unbatched run of the same seed when a chunk mixes relays with
-    /// later responder draws; `tests/determinism.rs` compares like with
-    /// like and checks decisions, not bytes, across the flag.
-    fn handle_request_run(&mut self, ctx: &mut NodeCtx<'_>, msgs: &[(NodeId, Payload)]) {
-        let mut packages: Vec<Cow<'_, RequestPackage>> = Vec::with_capacity(msgs.len());
-        let mut decisions = Vec::with_capacity(msgs.len());
-        for (_, payload) in msgs {
-            let Some(package) = self.parse_request(payload) else {
-                continue;
-            };
-            if let Some(decision) = self.admit_request(ctx, &package) {
-                packages.push(package);
-                decisions.push(decision);
-            }
-        }
-        if packages.is_empty() {
-            return;
-        }
-        let my_id = ctx.node_id().index() as u32;
-        let now = ctx.now_us();
-        let outcomes = self.responder(my_id).handle_batch(&packages, now, ctx.rng());
-        for ((package, decision), outcome) in packages.iter().zip(decisions).zip(outcomes) {
-            self.complete_request(ctx, package, decision, outcome);
+        // Relay unless this node verifiably completed the search (P1).
+        if decision == FloodDecision::Relay && !verified_match {
+            let mut fwd = package.clone();
+            fwd.ttl -= 1;
+            self.arm_reflood(ctx, &fwd, request_id);
+            let payload = AppMsg::Request(fwd).into_payload(ctx.delivery());
+            ctx.broadcast(payload);
+            self.events.push(AppEvent::Relayed { request_id });
         }
     }
 
@@ -669,47 +567,16 @@ impl NodeApp for FriendingApp {
             return; // a foreign in-memory payload is not our traffic
         };
         match peek_kind(bytes) {
-            Ok(FrameKind::Request) => {
-                if let Some(pkg) = self.parse_request(payload) {
-                    let pkg = pkg.into_owned();
-                    self.handle_request(ctx, &pkg);
-                }
-            }
+            Ok(FrameKind::Request) => match RequestPackage::decode(bytes) {
+                Ok(pkg) => self.handle_request(ctx, &pkg),
+                Err(error) => self.events.push(AppEvent::DecodeFailed { error }),
+            },
             Ok(FrameKind::Reply) => match Reply::decode(bytes) {
                 Ok(reply) => self.handle_reply(ctx, &reply),
                 Err(error) => self.events.push(AppEvent::DecodeFailed { error }),
             },
             Ok(_) => {} // a valid frame of an unrelated kind: ignore
             Err(error) => self.events.push(AppEvent::DecodeFailed { error }),
-        }
-    }
-
-    /// Batch hook ([`msb_net::sim::SimConfig::batch_delivery`]): runs of
-    /// same-instant requests go through the batched responder path in one
-    /// [`Responder::handle_batch`] call; everything else falls back to
-    /// per-message handling in arrival order.
-    fn on_batch(&mut self, ctx: &mut NodeCtx<'_>, batch: &[(NodeId, Payload)]) {
-        let mut i = 0;
-        while i < batch.len() {
-            let (from, payload) = &batch[i];
-            if payload_kind(payload) == Some(FrameKind::Request) {
-                let mut j = i + 1;
-                while j < batch.len() && payload_kind(&batch[j].1) == Some(FrameKind::Request) {
-                    j += 1;
-                }
-                if j - i == 1 {
-                    if let Some(pkg) = self.parse_request(payload) {
-                        let pkg = pkg.into_owned();
-                        self.handle_request(ctx, &pkg);
-                    }
-                } else {
-                    self.handle_request_run(ctx, &batch[i..j]);
-                }
-                i = j;
-            } else {
-                self.on_message(ctx, *from, payload);
-                i += 1;
-            }
         }
     }
 

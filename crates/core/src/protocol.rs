@@ -624,31 +624,6 @@ impl Responder {
         }
     }
 
-    /// Processes a chunk of request packages in arrival order.
-    ///
-    /// Semantically identical to calling [`Responder::handle`] once per
-    /// package with the same `rng` — randomness is drawn in package
-    /// order — so batched and one-at-a-time pipelines produce the same
-    /// wire bytes. Batching amortises the responder's fixed per-request
-    /// setup in the application layer (one responder serves the whole
-    /// chunk) and is the unit the parallel enumeration path works on.
-    ///
-    /// Generic over anything borrowable as a package so callers can
-    /// hand over owned packages, references, or the `Cow`s the
-    /// application layer's mixed borrowed/decoded batches produce.
-    pub fn handle_batch<P, R>(
-        &self,
-        packages: &[P],
-        now_us: u64,
-        rng: &mut R,
-    ) -> Vec<ResponderOutcome>
-    where
-        P: std::borrow::Borrow<RequestPackage>,
-        R: Rng + ?Sized,
-    {
-        packages.iter().map(|package| self.handle(package.borrow(), now_us, rng)).collect()
-    }
-
     /// The attributes a candidate key would gamble: the user's own
     /// attributes used as known values in the assignment.
     fn gambled_attributes(&self, key: &msb_profile::matching::CandidateKey) -> Vec<Attribute> {

@@ -179,53 +179,14 @@ impl<A: NodeApp> ShardCore<A> {
         }
         match kind {
             EventKind::Deliver { to, from, payload } => {
-                if self.config.batch_delivery {
-                    let batch = self.drain_batch(to, from, payload);
-                    self.metrics.delivered += batch.len() as u64;
-                    self.with_ctx(world, to, |app, ctx| app.on_batch(ctx, &batch));
-                } else {
-                    self.metrics.delivered += 1;
-                    self.with_ctx(world, to, |app, ctx| app.on_message(ctx, from, &payload));
-                }
+                self.metrics.delivered += 1;
+                self.with_ctx(world, to, |app, ctx| app.on_message(ctx, from, &payload));
             }
             EventKind::Timer { node, token } => {
                 self.with_ctx(world, node, |app, ctx| app.on_timer(ctx, token));
             }
         }
         true
-    }
-
-    /// Same-instant same-destination coalescing over the *local* queue.
-    /// A shard queue holds only its own nodes' events, so runs that the
-    /// global queue interleaves with other shards' events may coalesce
-    /// into fewer, larger batches here — per-message order, RNG draws,
-    /// and all [`Metrics`] are unaffected (per-node randomness makes
-    /// grouping invisible); only the `on_batch` call granularity can
-    /// differ from the oracle's.
-    fn drain_batch(
-        &mut self,
-        to: NodeId,
-        from: NodeId,
-        payload: Payload,
-    ) -> Vec<(NodeId, Payload)> {
-        let mut batch = vec![(from, payload)];
-        loop {
-            let same = match self.queue.peek() {
-                Some((at_us, kind)) => {
-                    at_us == self.now_us
-                        && matches!(kind, EventKind::Deliver { to: t, .. } if *t == to)
-                }
-                None => false,
-            };
-            if !same {
-                break;
-            }
-            let Some((_, EventKind::Deliver { from, payload, .. })) = self.queue.pop() else {
-                unreachable!("peeked a same-instant delivery");
-            };
-            batch.push((from, payload));
-        }
-        batch
     }
 
     fn with_ctx(
@@ -656,8 +617,7 @@ impl<A: NodeApp> ShardedSimulator<A> {
         self.now_us = self.now_us.max(core.now_us);
     }
 
-    /// Processes the lone core's next event (a same-instant batch
-    /// under [`SimConfig::batch_delivery`]); false when none is
+    /// Processes the lone core's next event; false when none is
     /// pending ([`crate::sim::Simulator::step`]).
     pub(crate) fn step_inline(&mut self) -> bool {
         let core = &mut self.cores[0];

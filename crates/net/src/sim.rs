@@ -100,12 +100,6 @@ pub struct SimConfig {
     /// transmission draws one loss sample (from the sender's stream)
     /// when nonzero.
     pub loss_rate: f64,
-    /// Coalesce same-instant deliveries to one node into a single
-    /// [`NodeApp::on_batch`] call, letting applications process message
-    /// chunks (e.g. batched responder handling) instead of one at a
-    /// time. Off by default: the unbatched event loop is the historical
-    /// reference behaviour, bit-for-bit.
-    pub batch_delivery: bool,
     /// Event-queue engine; see [`SchedulerMode`]. This changes only how
     /// fast the engine runs, never the event stream — both modes are
     /// bit-identical.
@@ -141,7 +135,6 @@ impl Default for SimConfig {
             per_meter_latency_us: 3.3e-3, // ~speed of light, negligible
             jitter_us: 200,
             loss_rate: 0.0,
-            batch_delivery: false,
             scheduler: SchedulerMode::Calendar,
             delivery: DeliveryMode::InMemory,
             shards: 1,
@@ -158,11 +151,12 @@ pub trait NodeApp {
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, payload: &Payload);
     /// Called for timers set through [`NodeCtx::set_timer`].
     fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _token: u64) {}
-    /// Called instead of [`NodeApp::on_message`] when
-    /// [`SimConfig::batch_delivery`] is on and several messages reach
-    /// this node at the same instant. The default forwards each message
-    /// in arrival order, so enabling batching changes nothing for apps
-    /// that don't override this.
+    /// Never called by the engine: every engine hands each message to
+    /// [`NodeApp::on_message`] on its own, since grouping a node's
+    /// same-instant messages into one call would reorder its RNG draws
+    /// between shard counts. The default forwards each message in
+    /// order. It stays only because perfbench's timing wrapper
+    /// overrides it; delete both together.
     fn on_batch(&mut self, ctx: &mut NodeCtx<'_>, batch: &[(NodeId, Payload)]) {
         for (from, payload) in batch {
             self.on_message(ctx, *from, payload);
@@ -827,47 +821,6 @@ mod tests {
         sim.start();
         sim.run_until(5_000);
         assert_eq!(sim.now_us(), 5_000);
-    }
-
-    #[test]
-    fn batch_delivery_coalesces_same_instant_messages() {
-        struct BatchRecorder {
-            batches: Vec<usize>,
-        }
-        impl NodeApp for BatchRecorder {
-            fn on_message(&mut self, _: &mut NodeCtx<'_>, _: NodeId, _: &Payload) {
-                panic!("batch mode must route through on_batch");
-            }
-            fn on_batch(&mut self, _: &mut NodeCtx<'_>, batch: &[(NodeId, Payload)]) {
-                self.batches.push(batch.len());
-            }
-        }
-        let config = SimConfig { batch_delivery: true, ..SimConfig::default() };
-        let mut sim = Simulator::new(config, 1);
-        let id = sim.add_node((0.0, 0.0), BatchRecorder { batches: Vec::new() });
-        for i in 0..3u8 {
-            sim.inject(id, NodeId::new(9), vec![i]);
-        }
-        sim.run();
-        assert_eq!(sim.app(id).batches, vec![3]);
-        assert_eq!(sim.metrics().delivered, 3);
-    }
-
-    #[test]
-    fn default_on_batch_preserves_message_order() {
-        // An app that does not override on_batch sees the same per-message
-        // callbacks, in the same order, whether batching is on or off.
-        let run = |batch_delivery: bool| -> Vec<(NodeId, Vec<u8>)> {
-            let config = SimConfig { batch_delivery, ..SimConfig::default() };
-            let mut sim = Simulator::new(config, 1);
-            let id = sim.add_node((0.0, 0.0), Recorder::new());
-            for i in 0..4u8 {
-                sim.inject(id, NodeId::new(7), vec![i, i + 1]);
-            }
-            sim.run();
-            sim.app(id).heard.clone()
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!    fan-out-capped broadcasts, and mid-run injection.
 //!
 //! The application level (`FriendingApp` with re-flooding, across
-//! protocols × batching × delivery modes) is pinned by the root
+//! protocols × delivery modes) is pinned by the root
 //! `tests/churn_smoke.rs`.
 
 use msb_net::mobility::{Bounds, RandomWaypoint};
@@ -213,12 +213,7 @@ type TraceOutcome = (Vec<Vec<TraceEntry>>, Vec<Vec<(u64, u64)>>, Metrics, u64);
 /// Runs the churn gossip swarm with mobility ticks between phases and
 /// mid-run injection, returning everything observable.
 fn run_trace(mode: SchedulerMode, seed: u64, n: usize) -> TraceOutcome {
-    let config = SimConfig {
-        loss_rate: 0.05,
-        scheduler: mode,
-        batch_delivery: seed.is_multiple_of(2), // sweep batching too
-        ..SimConfig::default()
-    };
+    let config = SimConfig { loss_rate: 0.05, scheduler: mode, ..SimConfig::default() };
     let mut sim = Simulator::new(config, seed);
     let mut mobility = RandomWaypoint::new(
         n,

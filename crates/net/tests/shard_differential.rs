@@ -81,13 +81,8 @@ impl NodeApp for TraceApp {
 /// shard-dependent observable), final clock.
 type Outcome = (Vec<Vec<TraceEntry>>, Vec<Vec<(u64, u64)>>, Metrics, u64);
 
-fn config(shards: usize, seed: u64) -> SimConfig {
-    SimConfig {
-        loss_rate: 0.05,
-        batch_delivery: seed.is_multiple_of(2), // sweep batching too
-        shards,
-        ..SimConfig::default()
-    }
+fn config(shards: usize) -> SimConfig {
+    SimConfig { loss_rate: 0.05, shards, ..SimConfig::default() }
 }
 
 /// Runs the trace scenario on one engine; `shards == 0` selects the
@@ -114,7 +109,7 @@ fn run_trace_opts(shards: usize, seed: u64, n: usize, region_tiles: usize) -> Ou
         mobility.positions().into_iter().map(|p| (p, TraceApp::new())).collect();
 
     if shards == 0 {
-        let mut sim = Simulator::new(config(1, seed), seed);
+        let mut sim = Simulator::new(config(1), seed);
         sim.add_nodes(placed);
         sim.start();
         let mut buf = Vec::new();
@@ -134,7 +129,7 @@ fn run_trace_opts(shards: usize, seed: u64, n: usize, region_tiles: usize) -> Ou
             .collect();
         (traces, timers, sim.metrics().without_queue_pressure(), sim.now_us())
     } else {
-        let mut cfg = config(shards, seed);
+        let mut cfg = config(shards);
         cfg.region_tiles = region_tiles;
         let mut sim = ShardedSimulator::new(cfg, seed);
         sim.add_nodes(placed);
@@ -159,8 +154,8 @@ fn run_trace_opts(shards: usize, seed: u64, n: usize, region_tiles: usize) -> Ou
 }
 
 /// The headline differential: full mobility traces with mid-run remote
-/// injection, across shard counts and seeds (sweeping batching via the
-/// seed's parity). Every observable must match the oracle exactly.
+/// injection, across shard counts and seeds. Every observable must
+/// match the oracle exactly.
 #[test]
 fn sharded_traces_bit_identical_to_oracle() {
     for seed in [1u64, 0xBEEF, 42424242] {
@@ -435,7 +430,7 @@ fn run_seam(shards: usize, seed: u64, n: usize, region_tiles: usize) -> Outcome 
         sim.run();
     };
     if shards == 0 {
-        let mut sim = Simulator::new(config(1, seed), seed);
+        let mut sim = Simulator::new(config(1), seed);
         sim.add_nodes(base.iter().map(|&p| (p, TraceApp::new())));
         drive(&mut sim);
         let traces =
@@ -445,7 +440,7 @@ fn run_seam(shards: usize, seed: u64, n: usize, region_tiles: usize) -> Outcome 
             .collect();
         (traces, timers, sim.metrics().without_queue_pressure(), sim.now_us())
     } else {
-        let mut cfg = config(shards, seed);
+        let mut cfg = config(shards);
         cfg.region_tiles = region_tiles;
         let mut sim = ShardedSimulator::new(cfg, seed);
         sim.add_nodes(base.iter().map(|&p| (p, TraceApp::new())));

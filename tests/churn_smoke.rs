@@ -7,8 +7,8 @@
 //! 1. an application-level differential — the full friending flow with
 //!    re-flooding under mobility must be *bit-identical* between the
 //!    calendar-queue scheduler and the binary heap, across every
-//!    protocol (P1/P2/P3) × batched/unbatched delivery ×
-//!    `InMemory`/`EncodedFrames` transport: same per-node event logs,
+//!    protocol (P1/P2/P3) × `InMemory`/`EncodedFrames` transport:
+//!    same per-node event logs,
 //!    same matches, same metrics (*including* the new
 //!    `events_scheduled` / `peak_queue_len` counters), same final
 //!    clock;
@@ -61,17 +61,11 @@ struct RunResult {
 /// mobility + periodic re-broadcast can connect them. The same
 /// scenario the wire differential uses, extended with the churn layer,
 /// swept across scheduler modes.
-fn run(
-    scheduler: SchedulerMode,
-    kind: ProtocolKind,
-    delivery: DeliveryMode,
-    batch_delivery: bool,
-) -> RunResult {
+fn run(scheduler: SchedulerMode, kind: ProtocolKind, delivery: DeliveryMode) -> RunResult {
     let mut config = ProtocolConfig::new(kind, 11);
     config.parallelism = Parallelism::SEQUENTIAL;
     config.validity_us = 5_000_000;
-    let sim_config =
-        SimConfig { loss_rate: 0.02, scheduler, delivery, batch_delivery, ..SimConfig::default() };
+    let sim_config = SimConfig { loss_rate: 0.02, scheduler, delivery, ..SimConfig::default() };
     let mut sim = Simulator::new(sim_config, 0xC0DEC);
     let reflood = RefloodPolicy::every(400_000).with_fanout_cap(3);
     let mut positions: Vec<(f64, f64)> = vec![(0.0, 0.0)];
@@ -122,29 +116,27 @@ fn run(
 }
 
 /// The calendar engine matches the binary-heap oracle across every
-/// protocol × batching × transport combination — no metrics masking,
+/// protocol × transport combination — no metrics masking,
 /// the new queue counters included.
 #[test]
 fn calendar_matches_heap_across_protocols_batching_and_delivery() {
     for kind in [ProtocolKind::P1, ProtocolKind::P2, ProtocolKind::P3] {
-        for batch_delivery in [false, true] {
-            for delivery in [DeliveryMode::InMemory, DeliveryMode::EncodedFrames] {
-                let oracle = run(SchedulerMode::BinaryHeap, kind, delivery, batch_delivery);
-                let calendar = run(SchedulerMode::Calendar, kind, delivery, batch_delivery);
-                let label = format!("{kind:?} batch={batch_delivery} delivery={delivery:?}");
-                assert!(!oracle.matches.is_empty(), "{label}: churn scenario must produce matches");
-                assert!(
-                    oracle.events.iter().flatten().any(|e| matches!(e, AppEvent::Reflooded { .. })),
-                    "{label}: re-flooding must fire"
-                );
-                assert_eq!(calendar.events, oracle.events, "{label}: per-node event logs diverged");
-                assert_eq!(calendar.matches, oracle.matches, "{label}: matches diverged");
-                assert_eq!(
-                    calendar.final_clock_us, oracle.final_clock_us,
-                    "{label}: final clock diverged"
-                );
-                assert_eq!(calendar.metrics, oracle.metrics, "{label}: metrics diverged");
-            }
+        for delivery in [DeliveryMode::InMemory, DeliveryMode::EncodedFrames] {
+            let oracle = run(SchedulerMode::BinaryHeap, kind, delivery);
+            let calendar = run(SchedulerMode::Calendar, kind, delivery);
+            let label = format!("{kind:?} delivery={delivery:?}");
+            assert!(!oracle.matches.is_empty(), "{label}: churn scenario must produce matches");
+            assert!(
+                oracle.events.iter().flatten().any(|e| matches!(e, AppEvent::Reflooded { .. })),
+                "{label}: re-flooding must fire"
+            );
+            assert_eq!(calendar.events, oracle.events, "{label}: per-node event logs diverged");
+            assert_eq!(calendar.matches, oracle.matches, "{label}: matches diverged");
+            assert_eq!(
+                calendar.final_clock_us, oracle.final_clock_us,
+                "{label}: final clock diverged"
+            );
+            assert_eq!(calendar.metrics, oracle.metrics, "{label}: metrics diverged");
         }
     }
 }

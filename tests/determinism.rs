@@ -7,7 +7,8 @@
 //! parallel enumeration is bit-identical to the sequential one and draws
 //! no randomness, so the same seed and the same `SimConfig` must produce
 //! identical `Metrics` — and identical confirmed matches — for every
-//! thread count, with batch delivery on or off.
+//! thread count. Neither may the shard count: a same-instant burst of
+//! requests is handled one message at a time on every engine.
 
 use sealed_bottle::core::protocol::Parallelism;
 use sealed_bottle::net::sim::Metrics;
@@ -39,10 +40,10 @@ fn noise(i: usize) -> Profile {
 }
 
 /// A lossy 4×4 grid with two matching users several hops out.
-fn run(parallelism: Parallelism, batch_delivery: bool) -> (Metrics, u64, Vec<ConfirmedMatch>) {
+fn run(parallelism: Parallelism) -> (Metrics, u64, Vec<ConfirmedMatch>) {
     let mut config = ProtocolConfig::new(ProtocolKind::P2, 11);
     config.parallelism = parallelism;
-    let sim_config = SimConfig { loss_rate: 0.02, batch_delivery, ..SimConfig::default() };
+    let sim_config = SimConfig { loss_rate: 0.02, ..SimConfig::default() };
     let mut sim = Simulator::new(sim_config, 0xD57E);
     sim.add_node((0.0, 0.0), FriendingApp::initiator(noise(0), request(), config.clone()));
     for i in 0..16 {
@@ -61,91 +62,91 @@ fn run(parallelism: Parallelism, batch_delivery: bool) -> (Metrics, u64, Vec<Con
 /// final clock) regardless of responder parallelism.
 #[test]
 fn metrics_independent_of_responder_parallelism() {
-    for batch_delivery in [false, true] {
-        let reference = run(Parallelism::SEQUENTIAL, batch_delivery);
-        assert!(!reference.2.is_empty(), "the matching users must be found");
-        for threads in [2usize, 4, 8] {
-            let other = run(Parallelism::new(threads), batch_delivery);
-            assert_eq!(other, reference, "batch={batch_delivery} threads={threads}: run diverged");
-        }
+    let reference = run(Parallelism::SEQUENTIAL);
+    assert!(!reference.2.is_empty(), "the matching users must be found");
+    for threads in [2usize, 4, 8] {
+        let other = run(Parallelism::new(threads));
+        assert_eq!(other, reference, "threads={threads}: run diverged");
     }
 }
 
-/// Batch delivery may regroup same-instant deliveries into coarser
-/// `on_batch` calls but must not change who gets matched.
-#[test]
-fn batch_delivery_preserves_match_decisions() {
-    let collect = |batch_delivery: bool| -> Vec<u32> {
-        let mut config = ProtocolConfig::new(ProtocolKind::P1, 11);
-        config.parallelism = Parallelism::new(4);
-        let sim_config = SimConfig { batch_delivery, ..SimConfig::default() };
-        let mut sim = Simulator::new(sim_config, 9);
-        sim.add_node((0.0, 0.0), FriendingApp::initiator(noise(0), request(), config.clone()));
-        for i in 1..5 {
-            sim.add_node(
-                (i as f64 * 40.0, 0.0),
-                FriendingApp::participant(noise(i), config.clone()),
-            );
-        }
-        sim.add_node((5.0 * 40.0, 0.0), FriendingApp::participant(matching_profile(), config));
-        sim.start();
-        sim.run();
-        let mut ids: Vec<u32> =
-            sim.app(NodeId::new(0)).matches().iter().map(|m| m.responder).collect();
-        ids.sort_unstable();
-        ids
-    };
-    let unbatched = collect(false);
-    assert_eq!(unbatched, vec![5]);
-    assert_eq!(collect(true), unbatched);
-}
+/// The candidate's observables in the burst scenario: its event log
+/// and the `(x, y)` of every session it gambled.
+type BurstOutcome = (Vec<AppEvent>, Vec<([u8; 32], [u8; 32])>);
 
-/// A same-instant burst of requests from distinct initiators exercises
-/// the batched responder path (`Responder::handle_batch` behind
-/// `FriendingApp::on_batch`): the app-visible results — events, gambled
-/// sessions — must be identical to unbatched delivery and independent of
-/// thread count. (Single node on purpose: batching only changes how
-/// same-instant deliveries are grouped into `on_batch` calls, never the
-/// per-message order or any RNG draw — per-node streams make grouping
-/// invisible — so a lone responder pins exact byte equality across the
-/// `batch_delivery` flag; cross-flag decision equality with neighbours
-/// is covered above.)
-#[test]
-fn burst_batch_equals_one_at_a_time() {
+/// Runs the burst scenario on `Simulator` (`shards == 0`) or on
+/// `ShardedSimulator` at that shard count, with `threads` responder
+/// threads; returns the P2 candidate's observables.
+///
+/// Node 0 is the candidate at (0, 0), node 1 a neighbour in range at
+/// (10, 0), node 2 a far node at (1000, 0). At t = 0 five requests from
+/// distinct initiators (the burst must not trip the per-initiator rate
+/// guard) reach the candidate, each followed by a 3-byte frame to the
+/// far node, so in the global queue no two of the candidate's
+/// deliveries are adjacent while in its own shard's queue they may be.
+fn run_burst(shards: usize, threads: usize) -> BurstOutcome {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    let run = |batch_delivery: bool, parallelism: Parallelism| {
-        let mut config = ProtocolConfig::new(ProtocolKind::P2, 11);
-        config.parallelism = parallelism;
-        let sim_config = SimConfig { batch_delivery, ..SimConfig::default() };
-        let mut sim = Simulator::new(sim_config, 4);
-        let node =
-            sim.add_node((0.0, 0.0), FriendingApp::participant(matching_profile(), config.clone()));
-        let mut rng = StdRng::seed_from_u64(8);
-        for i in 0..5u32 {
-            // Distinct initiator ids: the burst must not trip the
-            // per-initiator rate guard.
+    let mut config = ProtocolConfig::new(ProtocolKind::P2, 11);
+    config.parallelism = Parallelism::new(threads);
+    let nodes = vec![
+        ((0.0, 0.0), FriendingApp::participant(matching_profile(), config.clone())),
+        ((10.0, 0.0), FriendingApp::participant(noise(1), config.clone())),
+        ((1000.0, 0.0), FriendingApp::participant(noise(2), config.clone())),
+    ];
+    let (candidate, far) = (NodeId::new(0), NodeId::new(2));
+    let mut rng = StdRng::seed_from_u64(8);
+    let burst: Vec<(NodeId, Vec<u8>)> = (0..5u32)
+        .flat_map(|i| {
             let (_, pkg) = Initiator::create(&request(), 100 + i, &config, 0, &mut rng);
-            sim.inject(node, NodeId::new(7), pkg.encode());
+            [(candidate, pkg.encode()), (far, b"far".to_vec())]
+        })
+        .collect();
+    let outcome = |app: &FriendingApp| -> BurstOutcome {
+        (app.events.clone(), app.sessions().iter().map(|s| (s.x, s.y)).collect())
+    };
+    if shards == 0 {
+        let mut sim = Simulator::new(SimConfig::default(), 4);
+        sim.add_nodes(nodes);
+        for (to, bytes) in burst {
+            sim.inject(to, NodeId::new(7), bytes);
         }
         sim.run();
-        let app = sim.app(node);
-        let sessions: Vec<_> = app.sessions().iter().map(|s| (s.x, s.y)).collect();
-        (app.events.clone(), sessions)
-    };
+        outcome(sim.app(candidate))
+    } else {
+        let mut sim = ShardedSimulator::new(SimConfig { shards, ..SimConfig::default() }, 4);
+        sim.add_nodes(nodes);
+        let counts = sim.shard_node_counts();
+        assert!(counts.iter().all(|&c| c < 3), "shards={shards}: one shard owns all {counts:?}");
+        for (to, bytes) in burst {
+            sim.inject(to, NodeId::new(7), bytes);
+        }
+        sim.run();
+        outcome(sim.app(candidate))
+    }
+}
 
-    let reference = run(false, Parallelism::SEQUENTIAL);
+/// A same-instant burst of requests at one candidate, interleaved with
+/// deliveries to a node on another shard. The candidate's reply secret
+/// `y` and the jitter of each relay it broadcasts come from its one RNG
+/// stream, so handing it the burst in one call where its shard's queue
+/// holds the requests back to back would reorder those draws against
+/// `Simulator`'s. Every engine hands it one message per callback, so
+/// its events and sessions must equal `Simulator`'s at every responder
+/// thread count and shard count.
+#[test]
+fn burst_handling_identical_across_threads_and_shards() {
+    let reference = run_burst(0, 1);
     assert!(
         reference.0.iter().any(|e| matches!(e, AppEvent::ReplySent { .. })),
         "burst must produce replies: {:?}",
         reference.0
     );
-    for (batch_delivery, threads) in [(false, 4), (true, 1), (true, 4), (true, 8)] {
-        let other = run(batch_delivery, Parallelism::new(threads));
-        assert_eq!(
-            other, reference,
-            "batch={batch_delivery} threads={threads}: burst handling diverged"
-        );
+    for threads in [1usize, 4, 8] {
+        for shards in [0usize, 2, 4] {
+            let other = run_burst(shards, threads);
+            assert_eq!(other, reference, "threads={threads} shards={shards}: burst diverged");
+        }
     }
 }

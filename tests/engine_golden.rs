@@ -5,8 +5,7 @@
 //! single-threaded `Simulator`, which proves everything specific to
 //! sharding (partitioning, windows, handoff, envelope batching)
 //! but not the dispatch both sides share: loss and latency draw order,
-//! emission keys, same-instant batch coalescing and `Metrics`
-//! accounting. This suite pins that dispatch to values recorded from
+//! emission keys and `Metrics` accounting. This suite pins that dispatch to values recorded from
 //! the reference event loop. Each scenario runs on `Simulator` and on
 //! `ShardedSimulator` at 1, 2 and 4 shards, and every run must hash to
 //! its scenario's one committed digest; each one-core run must also
@@ -323,14 +322,9 @@ fn trace_log(enc: &mut Encoder, app: &TraceApp) {
     }
 }
 
-/// Loss 0.05, batch delivery by seed parity — the differential's config.
-fn trace_config(engine: Engine, seed: u64) -> SimConfig {
-    SimConfig {
-        loss_rate: 0.05,
-        batch_delivery: seed.is_multiple_of(2),
-        shards: engine.shards(),
-        ..SimConfig::default()
-    }
+/// Loss 0.05 — the differential's config.
+fn trace_config(engine: Engine) -> SimConfig {
+    SimConfig { loss_rate: 0.05, shards: engine.shards(), ..SimConfig::default() }
 }
 
 fn on_engine<A: NodeApp + Send>(
@@ -368,7 +362,7 @@ fn run_trace(seed: u64, engine: Engine) -> Run {
         seed ^ 0x5eed,
     );
     let nodes = mobility.positions().into_iter().map(|p| (p, TraceApp::new())).collect();
-    on_engine(engine, trace_config(engine, seed), seed, nodes, |sim| {
+    on_engine(engine, trace_config(engine), seed, nodes, |sim| {
         sim.start();
         let mut buf = Vec::new();
         for phase in 0..3u64 {
@@ -398,7 +392,7 @@ fn run_seam(seed: u64, engine: Engine) -> Run {
         })
         .collect();
     let nodes = base.iter().map(|&p| (p, TraceApp::new())).collect();
-    on_engine(engine, trace_config(engine, seed), seed, nodes, |sim| {
+    on_engine(engine, trace_config(engine), seed, nodes, |sim| {
         sim.start();
         for (i, positions) in phases.iter().enumerate() {
             sim.run_until((i as u64 + 1) * 40_000);

@@ -50,11 +50,10 @@ struct RunResult {
 
 /// A lossy 4×4 grid with two matching users several hops out — the same
 /// shape the determinism suite uses, here swept across delivery modes.
-fn run(kind: ProtocolKind, delivery: DeliveryMode, batch_delivery: bool) -> RunResult {
+fn run(kind: ProtocolKind, delivery: DeliveryMode) -> RunResult {
     let mut config = ProtocolConfig::new(kind, 11);
     config.parallelism = Parallelism::SEQUENTIAL;
-    let sim_config =
-        SimConfig { loss_rate: 0.02, delivery, batch_delivery, ..SimConfig::default() };
+    let sim_config = SimConfig { loss_rate: 0.02, delivery, ..SimConfig::default() };
     let mut sim = Simulator::new(sim_config, 0xC0DEC);
     sim.add_node((0.0, 0.0), FriendingApp::initiator(noise(0), request(), config.clone()));
     for i in 0..16 {
@@ -78,23 +77,18 @@ fn run(kind: ProtocolKind, delivery: DeliveryMode, batch_delivery: bool) -> RunR
 #[test]
 fn encoded_frames_match_the_in_memory_oracle() {
     for kind in [ProtocolKind::P1, ProtocolKind::P2, ProtocolKind::P3] {
-        for batch_delivery in [false, true] {
-            let oracle = run(kind, DeliveryMode::InMemory, batch_delivery);
-            assert!(!oracle.matches.is_empty(), "{kind:?}: scenario must produce matches");
+        let oracle = run(kind, DeliveryMode::InMemory);
+        assert!(!oracle.matches.is_empty(), "{kind:?}: scenario must produce matches");
 
-            let framed = run(kind, DeliveryMode::EncodedFrames, batch_delivery);
-            assert_eq!(
-                framed.events, oracle.events,
-                "{kind:?} batch={batch_delivery}: per-node event logs diverged"
-            );
-            assert_eq!(framed.matches, oracle.matches, "{kind:?}: confirmed matches diverged");
-            assert_eq!(framed.final_clock_us, oracle.final_clock_us, "{kind:?}: clock diverged");
-            assert_eq!(
-                framed.metrics, oracle.metrics,
-                "{kind:?} batch={batch_delivery}: metrics diverged — either encoded_len() is \
-                 not exact or a message failed to round-trip"
-            );
-        }
+        let framed = run(kind, DeliveryMode::EncodedFrames);
+        assert_eq!(framed.events, oracle.events, "{kind:?}: per-node event logs diverged");
+        assert_eq!(framed.matches, oracle.matches, "{kind:?}: confirmed matches diverged");
+        assert_eq!(framed.final_clock_us, oracle.final_clock_us, "{kind:?}: clock diverged");
+        assert_eq!(
+            framed.metrics, oracle.metrics,
+            "{kind:?}: metrics diverged — either encoded_len() is not exact or a message \
+             failed to round-trip"
+        );
     }
 }
 
@@ -103,8 +97,8 @@ fn byte_metrics_come_from_real_frames() {
     // In the encoded mode the accounted bytes are the actual buffers on
     // the air; spot-check the first broadcast's size against a freshly
     // encoded package of the same request.
-    let oracle = run(ProtocolKind::P1, DeliveryMode::InMemory, false);
-    let framed = run(ProtocolKind::P1, DeliveryMode::EncodedFrames, false);
+    let oracle = run(ProtocolKind::P1, DeliveryMode::InMemory);
+    let framed = run(ProtocolKind::P1, DeliveryMode::EncodedFrames);
     assert_eq!(oracle.metrics.payload_bytes, framed.metrics.payload_bytes);
     assert!(framed.metrics.payload_bytes > 0);
 
