@@ -14,10 +14,16 @@
 //! A digest is SHA-256 over an explicit little-endian encoding of the
 //! run: per node, its delivery log and timer log (a `FriendingApp`'s
 //! event log for the friending swarms); then every
-//! `Metrics::without_queue_pressure()` field in declaration order;
-//! then the final clock. The encoding is written out field by field
-//! rather than taken from `{:?}` or `DefaultHasher`, whose output Rust
-//! does not promise to keep stable.
+//! `Metrics::without_queue_pressure()` field in declaration order
+//! except the two search counters; then the final clock. The encoding
+//! is written out field by field rather than taken from `{:?}` or
+//! `DefaultHasher`, whose output Rust does not promise to keep stable.
+//!
+//! The search counters, `neighbor_queries` and `cells_scanned`, count
+//! how much work the neighbour search did, not what it found. Each case
+//! pins them as plain literals, checked on every engine, so a change to
+//! the index or the route search shows up as a change to those
+//! literals alone while the digests hold.
 //!
 //! A mismatch means the engine's observable behaviour changed. The
 //! failure message names the scenario, case, seed and engine, and
@@ -134,8 +140,6 @@ impl Encoder {
             m.lost,
             m.unroutable,
             m.payload_bytes,
-            m.neighbor_queries,
-            m.cells_scanned,
             m.events_scheduled,
             m.peak_queue_len,
         ] {
@@ -194,14 +198,17 @@ impl Encoder {
     }
 }
 
-/// One run's digest and its unmasked queue high-water mark.
+/// One run's digest, its search counters and its unmasked queue
+/// high-water mark.
 struct Run {
     digest: String,
+    neighbor_queries: u64,
+    cells_scanned: u64,
     peak_queue_len: u64,
 }
 
-/// Encodes the per-node logs `log` writes, then the masked metrics and
-/// the final clock.
+/// Encodes the per-node logs `log` writes, then the masked metrics
+/// (search counters aside) and the final clock.
 fn seal<A, S: Driven<A> + ?Sized>(sim: &S, log: impl Fn(&mut Encoder, &A)) -> Run {
     let mut enc = Encoder::new();
     enc.u64(sim.node_total() as u64);
@@ -211,7 +218,12 @@ fn seal<A, S: Driven<A> + ?Sized>(sim: &S, log: impl Fn(&mut Encoder, &A)) -> Ru
     let metrics = sim.merged_metrics();
     enc.metrics(&metrics);
     enc.u64(sim.now_us());
-    Run { digest: enc.finish(), peak_queue_len: metrics.peak_queue_len }
+    Run {
+        digest: enc.finish(),
+        neighbor_queries: metrics.neighbor_queries,
+        cells_scanned: metrics.cells_scanned,
+        peak_queue_len: metrics.peak_queue_len,
+    }
 }
 
 /// One committed expectation: a scenario case on one seed.
@@ -219,6 +231,10 @@ struct Golden {
     case: &'static str,
     seed: u64,
     digest: &'static str,
+    /// `Metrics::neighbor_queries`, on every engine.
+    neighbor_queries: u64,
+    /// `Metrics::cells_scanned`, on every engine.
+    cells_scanned: u64,
     /// `peak_queue_len` of the one-core runs (the sharded runs' peak is
     /// a max over per-shard queues and is not pinned).
     peak_queue_len: u64,
@@ -238,6 +254,12 @@ fn check(scenario: &str, golden: &[Golden], run: impl Fn(&Golden, Engine) -> Run
             );
             if r.digest != g.digest {
                 failures.push(format!("{at}: digest {} != golden {}", r.digest, g.digest));
+            }
+            if (r.neighbor_queries, r.cells_scanned) != (g.neighbor_queries, g.cells_scanned) {
+                failures.push(format!(
+                    "{at}: neighbor_queries {} / cells_scanned {} != golden {} / {}",
+                    r.neighbor_queries, r.cells_scanned, g.neighbor_queries, g.cells_scanned
+                ));
             }
             if engine.shards() == 1 && r.peak_queue_len != g.peak_queue_len {
                 failures.push(format!(
@@ -513,19 +535,25 @@ fn trace_scenario_matches_golden() {
         Golden {
             case: "n28",
             seed: 1,
-            digest: "8717e5cb1996b919d9faca2e358bc79d5be6fa4beae2c65ccf5d69c620a2e6f6",
+            digest: "d7447467c01ae13a1dad577751aa5b84786dfc3549d7d551d2aef7ad8e855d08",
+            neighbor_queries: 2375,
+            cells_scanned: 45125,
             peak_queue_len: 207,
         },
         Golden {
             case: "n28",
             seed: 0xBEEF,
-            digest: "e0fd54ce1ace8f95b4e34df64326b21a4a9cf8f49c97e31dd9914fb0ee36732f",
+            digest: "8304915468f888d99e289d73c6bac38a4fca141f8e40e685eb6e550369f96d01",
+            neighbor_queries: 2219,
+            cells_scanned: 42161,
             peak_queue_len: 199,
         },
         Golden {
             case: "n28",
             seed: 42424242,
-            digest: "c3dcd184f3d17f3da9d020f29aaba03ada677bec9bbb36aa96e26ec2bf9d4d09",
+            digest: "e2739eca843e359b09010c5649e160585daf9b6cc9f1081212fc39bb896c48dc",
+            neighbor_queries: 2251,
+            cells_scanned: 42769,
             peak_queue_len: 233,
         },
     ];
@@ -538,13 +566,17 @@ fn seam_oscillation_matches_golden() {
         Golden {
             case: "n16",
             seed: 5,
-            digest: "7ce5bf1eda76d6efb387a47350876ac11770db18dac3484ca329ae624f34777b",
+            digest: "928a1672edd585c83852641fb11de247892b2de19692ef200112a76b4da28381",
+            neighbor_queries: 396,
+            cells_scanned: 7524,
             peak_queue_len: 33,
         },
         Golden {
             case: "n16",
             seed: 0x5EA7,
-            digest: "b740fb6c7b517e02dbebdff9cf1425a4f787883d32e4baedaf8487106bbbe944",
+            digest: "f39704c5185ac4a59eba1c3296f9106c4f0139a680a5f7291005a24ebc06a7f9",
+            neighbor_queries: 372,
+            cells_scanned: 7068,
             peak_queue_len: 33,
         },
     ];
@@ -557,7 +589,9 @@ fn standard_churn_matches_golden() {
     let golden = [Golden {
         case: "standard(600) InMemory",
         seed,
-        digest: "76a4e1207471baf3053ea3efbb4e32cc67d19a438352394a789511e37275c543",
+        digest: "f80971da1dbfdd85ed56a1382a53fa5bc90985291f0e97176a9922a43235c43d",
+        neighbor_queries: 5496,
+        cells_scanned: 104424,
         peak_queue_len: 1530,
     }];
     check("island churn", &golden, |_, engine| run_churn(engine));
@@ -569,19 +603,25 @@ fn lossy_grid_churn_matches_golden() {
         Golden {
             case: "P1 EncodedFrames",
             seed: GRID_SEED,
-            digest: "ae2ed2cc9f02f032da73ebe8ce679a3c3625c37410d39708e7384ae139c9d5d1",
+            digest: "c4396251e557d966342dd73b391d0b0752be13f62f651d3bf76080f28d37d419",
+            neighbor_queries: 228,
+            cells_scanned: 4332,
             peak_queue_len: 56,
         },
         Golden {
             case: "P2 EncodedFrames",
             seed: GRID_SEED,
-            digest: "f97b89225b037fcb6edb932df9d190dd6a3c5d6751800b10d8e6b1ba3097204b",
+            digest: "30a6b22b5d5cb22d455dca5b2d9fac305527fbc030472e2db5ede065f4e91075",
+            neighbor_queries: 237,
+            cells_scanned: 4503,
             peak_queue_len: 56,
         },
         Golden {
             case: "P3 EncodedFrames",
             seed: GRID_SEED,
-            digest: "ccc994b6db35688237e846ec419295423001cac6b255f18b098dfc3979417847",
+            digest: "770cb7b93c3b853b29b4b3ecf470081a2dc7876c0f67dc81452d26e26dc31da9",
+            neighbor_queries: 237,
+            cells_scanned: 4503,
             peak_queue_len: 56,
         },
     ];
