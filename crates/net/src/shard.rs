@@ -96,7 +96,6 @@ struct ShardCore<A> {
     /// coalesced transfer at the window barrier.
     outboxes: Vec<Vec<ScheduledEvent<EventKind>>>,
     targets_buf: Vec<(u32, f64)>,
-    knear_buf: Vec<u32>,
     /// Reusable buffers for queries against the shared global topology
     /// (broadcast targets, k-nearest, BFS routing).
     scratch: TopoScratch,
@@ -120,7 +119,6 @@ impl<A: NodeApp> ShardCore<A> {
             metrics: Metrics::default(),
             outboxes: (0..shards).map(|_| Vec::new()).collect(),
             targets_buf: Vec::new(),
-            knear_buf: Vec::new(),
             scratch: TopoScratch::default(),
             telemetry: Recorder::off(),
         }
@@ -209,8 +207,8 @@ impl<A: NodeApp> ShardCore<A> {
         let actions = ctx.actions;
         for action in actions {
             match action {
-                Action::Broadcast(payload) => self.do_broadcast(world, id, payload),
-                Action::BroadcastK(k, payload) => self.do_broadcast_k(world, id, k, payload),
+                Action::Broadcast(payload) => self.do_broadcast(world, id, None, payload),
+                Action::BroadcastK(k, payload) => self.do_broadcast(world, id, Some(k), payload),
                 Action::Unicast(to, payload) => self.do_unicast(world, id, to, payload),
                 Action::Timer(delay, token) => {
                     let at = self.now_us + delay;
@@ -265,16 +263,25 @@ impl<A: NodeApp> ShardCore<A> {
         self.metrics.peak_queue_len = self.queue.peak_len() as u64;
     }
 
-    fn do_broadcast(&mut self, world: WorldRef<'_>, from: NodeId, payload: Payload) {
+    /// One broadcast: to every node in radio range, or with `Some(k)`
+    /// only to the `k` nearest. Each target, in ascending id order,
+    /// draws its loss roll and latency from the sender's stream and
+    /// takes the sender's next emission key.
+    fn do_broadcast(
+        &mut self,
+        world: WorldRef<'_>,
+        from: NodeId,
+        k: Option<usize>,
+        payload: Payload,
+    ) {
         self.metrics.broadcasts += 1;
         self.metrics.payload_bytes += payload.wire_len() as u64;
         let mut targets = std::mem::take(&mut self.targets_buf);
-        world.topo.broadcast_targets(
-            &mut self.scratch,
-            &mut self.metrics,
-            from.index(),
-            &mut targets,
-        );
+        let (scratch, metrics) = (&mut self.scratch, &mut self.metrics);
+        match k {
+            None => world.topo.broadcast_targets(scratch, metrics, from.index(), &mut targets),
+            Some(k) => world.topo.k_nearest(scratch, metrics, from.index(), k, &mut targets),
+        }
         for &(i, dist) in &targets {
             let sender = self.states.get_mut(from.0).expect("broadcasting node is owned");
             if roll_loss(&self.config, &mut sender.rng) {
@@ -291,31 +298,6 @@ impl<A: NodeApp> ShardCore<A> {
             );
         }
         self.targets_buf = targets;
-    }
-
-    fn do_broadcast_k(&mut self, world: WorldRef<'_>, from: NodeId, k: usize, payload: Payload) {
-        self.metrics.broadcasts += 1;
-        self.metrics.payload_bytes += payload.wire_len() as u64;
-        let mut cand = std::mem::take(&mut self.knear_buf);
-        let src = world.topo.position(from.index());
-        world.topo.k_nearest(&mut self.scratch, &mut self.metrics, from.index(), k, &mut cand);
-        for &i in &cand {
-            let dist = distance(src, world.topo.position(i as usize));
-            let sender = self.states.get_mut(from.0).expect("broadcasting node is owned");
-            if roll_loss(&self.config, &mut sender.rng) {
-                self.metrics.lost += 1;
-                continue;
-            }
-            let at = self.now_us + draw_latency(&self.config, dist, &mut sender.rng);
-            let key = sender.next_key(from.0);
-            self.route(
-                world,
-                at,
-                key,
-                EventKind::Deliver { to: NodeId(i), from, payload: payload.clone() },
-            );
-        }
-        self.knear_buf = cand;
     }
 
     fn do_unicast(&mut self, world: WorldRef<'_>, from: NodeId, to: NodeId, payload: Payload) {

@@ -134,33 +134,38 @@ impl Topology {
     }
 
     /// The `k` nearest other nodes within radio range of `from` (ties at
-    /// equal distance break toward the smaller id), returned in ascending
-    /// *id* order — the fan-out-capped broadcast target set, selected by
-    /// [`SpatialIndex::k_nearest_into`].
+    /// equal distance break toward the smaller id), with their
+    /// distances, in ascending *id* order — the fan-out-capped broadcast
+    /// target set, selected by [`SpatialIndex::k_nearest_into`].
     pub(crate) fn k_nearest(
         &self,
         scratch: &mut TopoScratch,
         metrics: &mut Metrics,
         from: usize,
         k: usize,
-        out: &mut Vec<u32>,
+        out: &mut Vec<(u32, f64)>,
     ) {
         metrics.neighbor_queries += 1;
+        let src = self.positions[from];
+        let positions = &self.positions;
+        let mut ids = std::mem::take(&mut scratch.cand);
         // k + 1 slots so the querying node (distance 0) never crowds out
         // a real neighbor.
-        let positions = &self.positions;
         metrics.cells_scanned += self.index.k_nearest_into(
             &mut scratch.spatial,
-            positions[from],
+            src,
             k + 1,
             self.radio_range,
             |i| positions[i as usize],
-            out,
+            &mut ids,
         );
-        out.retain(|&i| i != from as u32);
-        out.truncate(k);
+        ids.retain(|&i| i != from as u32);
+        ids.truncate(k);
         // Deliver in ascending id order, like a full broadcast.
-        out.sort_unstable();
+        ids.sort_unstable();
+        out.clear();
+        out.extend(ids.iter().map(|&i| (i, distance(src, positions[i as usize]))));
+        scratch.cand = ids;
     }
 
     /// BFS shortest path over the current connectivity graph (nodes
@@ -294,14 +299,19 @@ mod tests {
             .collect()
     }
 
-    /// The `k` nearest in the scan by `(distance, id)`, in id order.
-    fn scan_k_nearest(positions: &[(f64, f64)], from: usize, k: usize, range: f64) -> Vec<u32> {
-        let mut ranked: Vec<(f64, u32)> =
-            scan(positions, from, range).into_iter().map(|(i, d)| (d, i)).collect();
-        ranked.sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
-        let mut ids: Vec<u32> = ranked.into_iter().take(k).map(|(_, i)| i).collect();
-        ids.sort_unstable();
-        ids
+    /// The `k` nearest in the scan by `(distance, id)`, with their
+    /// distances, in id order.
+    fn scan_k_nearest(
+        positions: &[(f64, f64)],
+        from: usize,
+        k: usize,
+        range: f64,
+    ) -> Vec<(u32, f64)> {
+        let mut ranked = scan(positions, from, range);
+        ranked.sort_unstable_by(|a, b| (a.1, a.0).partial_cmp(&(b.1, b.0)).expect("finite"));
+        ranked.truncate(k);
+        ranked.sort_unstable_by_key(|&(i, _)| i);
+        ranked
     }
 
     /// BFS over the scan, with one neighbor query per expanded node as
