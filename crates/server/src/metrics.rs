@@ -36,7 +36,8 @@ pub struct ServerStats {
     pub rejected_malformed: AtomicU64,
     /// Bottles handed to fetching clients.
     pub messages_delivered: AtomicU64,
-    /// Bottles purged after outliving the inbox TTL.
+    /// Bottles dropped after outliving the inbox TTL, whether the
+    /// cleanup purge or a fetch found them.
     pub inbox_expired: AtomicU64,
     /// Connection-fatal reframing failures reported by the gateway
     /// (oversize declaration *or* garbage — the union of the two
@@ -107,7 +108,8 @@ pub struct StatsSnapshot {
     pub rejected_malformed: u64,
     /// Bottles handed to fetching clients.
     pub messages_delivered: u64,
-    /// Bottles purged after outliving the inbox TTL.
+    /// Bottles dropped after outliving the inbox TTL, whether the
+    /// cleanup purge or a fetch found them.
     pub inbox_expired: u64,
     /// Bottles currently queued across all recipients.
     pub inbox_depth: u64,

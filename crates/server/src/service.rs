@@ -161,7 +161,7 @@ impl Services {
             Err(_) => return self.reject_malformed(),
         };
         let mut inbox = self.inbox.lock().unwrap();
-        let drained = inbox.drain(me, fetch.max as usize, now_us);
+        let (drained, expired) = inbox.drain(me, fetch.max as usize, now_us);
         // Greedy byte-budget batching: the reply must respect the same
         // max_frame_len bound as anything else on the wire, so stop
         // before overflowing and requeue the remainder (in order) for
@@ -185,6 +185,7 @@ impl Services {
             inbox.requeue_front(me, msg);
         }
         drop(inbox);
+        ServerStats::add(&self.stats.inbox_expired, expired as u64);
         ServerStats::add(&self.stats.messages_delivered, batch.messages.len() as u64);
         match batch.try_encode() {
             Ok(bytes) => bytes,
@@ -523,5 +524,54 @@ mod tests {
         assert_eq!(s.purge_expired(50), 0);
         assert_eq!(s.purge_expired(100), 1);
         assert_eq!(s.stats.inbox_expired.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn every_acknowledged_copy_is_delivered_expired_or_parked() {
+        // TTL 100 µs. Each step deposits one unicast and one broadcast
+        // (two copies), then fetches with and without a cap, so some
+        // bottles are fetched live, some expire inside a fetch, and
+        // some expire under the cleanup purge.
+        let config = ServerConfig {
+            inbox_ttl_us: 100,
+            guard_max_in_window: 1_000,
+            ..ServerConfig::default()
+        };
+        let s = Services::new(config);
+        let mut conns: Vec<Option<u32>> = vec![None; 3];
+        for (i, conn) in conns.iter_mut().enumerate() {
+            s.handle_frame(conn, &hello_frame(i as u32 + 1), 0);
+        }
+        let unicast =
+            Bytes::from(Deposit { to: 2, frame: bare_frame(FrameKind::Request) }.encode());
+        let broadcast = bare_frame(FrameKind::Request);
+        let mut acked = 0u64;
+        for step in 0..20u64 {
+            let t = step * 40;
+            for dep in [&unicast, &broadcast] {
+                let ack = Ack::decode(&s.handle_frame(&mut conns[0], dep, t)).unwrap();
+                assert_eq!(ack.code, AckCode::Ok);
+                acked += u64::from(ack.info);
+            }
+            let max = if step % 3 == 0 { 1 } else { 0 };
+            let fetch = Bytes::from(Fetch { max }.encode());
+            if step % 2 == 0 {
+                s.handle_frame(&mut conns[1], &fetch, t + 20);
+            }
+            if step % 5 == 4 {
+                s.handle_frame(&mut conns[2], &fetch, t + 30);
+            }
+            if step % 7 == 6 {
+                s.purge_expired(t + 35);
+            }
+        }
+        let resp = s.handle_frame(&mut conns[0], &bare_frame(FrameKind::RelayStatsReq), 2_000);
+        let snap = crate::metrics::StatsSnapshot::decode(&resp).unwrap();
+        assert!(snap.messages_delivered > 0 && snap.inbox_expired > 0 && snap.inbox_depth > 0);
+        assert_eq!(
+            acked,
+            snap.messages_delivered + snap.inbox_expired + snap.inbox_depth,
+            "copies acknowledged must equal delivered + expired + parked: {snap:?}"
+        );
     }
 }

@@ -83,24 +83,28 @@ impl Inbox {
     }
 
     /// Drains up to `max` live bottles for `client` (0 = no limit),
-    /// oldest first. Expired entries encountered on the way are
-    /// silently dropped here and counted by the cleanup worker's purge
-    /// — a fetch never delivers a dead bottle.
-    pub fn drain(&mut self, client: u32, max: usize, now_us: u64) -> Vec<StoredMessage> {
+    /// oldest first, and returns them with the number of expired
+    /// entries dropped on the way — a fetch never delivers a dead
+    /// bottle. The caller counts the dropped ones: the cleanup worker's
+    /// purge never sees them.
+    pub fn drain(&mut self, client: u32, max: usize, now_us: u64) -> (Vec<StoredMessage>, usize) {
         let Some(queue) = self.queues.get_mut(&client) else {
-            return Vec::new();
+            return (Vec::new(), 0);
         };
         let cap = if max == 0 { usize::MAX } else { max };
         let mut out = Vec::new();
+        let mut expired = 0;
         while out.len() < cap {
             let Some(msg) = queue.pop_front() else {
                 break;
             };
             if msg.expires_at_us > now_us {
                 out.push(msg);
+            } else {
+                expired += 1;
             }
         }
-        out
+        (out, expired)
     }
 
     /// Returns a drained bottle to the *front* of `client`'s queue —
@@ -142,8 +146,9 @@ mod tests {
         inbox.register(7);
         assert!(inbox.push(7, 1, frame(0xA), 0));
         assert!(inbox.push(7, 2, frame(0xB), 10));
-        let got = inbox.drain(7, 0, 20);
+        let (got, expired) = inbox.drain(7, 0, 20);
         assert_eq!(got.iter().map(|m| m.from).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(expired, 0);
         assert_eq!(inbox.depth(), 0);
     }
 
@@ -166,8 +171,11 @@ mod tests {
         inbox.push(1, 0, frame(1), 0); // expires at 100
         inbox.push(2, 0, frame(2), 50); // expires at 150
 
-        // Drain never hands out a dead bottle.
-        assert!(inbox.drain(1, 0, 100).is_empty(), "expires_at == now is dead");
+        // Drain never hands out a dead bottle, and reports the one it
+        // dropped.
+        let (live, expired) = inbox.drain(1, 0, 100);
+        assert!(live.is_empty(), "expires_at == now is dead");
+        assert_eq!(expired, 1);
 
         assert_eq!(inbox.purge_expired(120), 0); // client 1's already drained
         assert_eq!(inbox.depth(), 1);
