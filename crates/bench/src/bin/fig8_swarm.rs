@@ -1,6 +1,7 @@
 //! Figure 8 (extension) — simulator scalability: friending swarms at
-//! 1k / 5k / 10k nodes on the hex-grid spatial index, plus the index's
-//! per-query speedup over an all-node scan.
+//! 1k / 5k / 10k nodes on the square-grid spatial index (cells one
+//! radio range across), plus the index's per-query speedup over an
+//! all-node scan.
 //!
 //! Each run executes the full protocol end to end
 //! ([`msb_bench::swarm`]): the initiator floods its request from the
@@ -9,7 +10,7 @@
 //! unicast, the initiator confirms. Reported per run: wall-clock,
 //! messages (broadcasts / deliveries / unicast hops), match count with
 //! latency percentiles, and the index-efficiency observable
-//! `cells/query`.
+//! `cells/query` (9: the 3×3 cells around each query).
 //!
 //! The naive/indexed ratio is measured per query: over each size's
 //! node layout, one radio-range query per node, answered by a linear
@@ -25,7 +26,7 @@ use msb_bench::swarm::{build_uniform_swarm, uniform_center_positions};
 use msb_bench::{fmt_ms, print_table, time_once};
 use msb_core::app::SwarmSummary;
 use msb_net::sim::{Metrics, SimConfig};
-use msb_net::spatial::{SpatialIndex, SpatialScratch};
+use msb_net::spatial::SpatialIndex;
 
 const SIZES: [usize; 3] = [1_000, 5_000, 10_000];
 const SEED: u64 = 0xF168;
@@ -59,7 +60,7 @@ struct QueryResult {
 }
 
 /// Times one query per node over size `n`'s swarm layout (the one
-/// [`build_uniform_swarm`] places) by all-node scan and by the hex
+/// [`build_uniform_swarm`] places) by all-node scan and by the grid
 /// index, asserting both return the same ids in the same order.
 fn query_speedup(n: usize) -> QueryResult {
     let range = SimConfig::default().radio_range;
@@ -82,9 +83,8 @@ fn query_speedup(n: usize) -> QueryResult {
     }
     let indexed = || {
         let (mut out, mut cand) = (Vec::new(), Vec::new());
-        let mut scratch = SpatialScratch::default();
         for &c in &positions {
-            index.candidates_into(&mut scratch, c, range, &mut cand);
+            index.candidates_into(c, range, &mut cand);
             out.extend(cand.iter().copied().filter(|&i| in_range(c, positions[i as usize])));
             out.push(u32::MAX);
         }
@@ -194,7 +194,7 @@ fn main() {
             })
             .collect();
         print_table(
-            "Per-query range lookup: all-node scan vs hex index (one query per node)",
+            "Per-query range lookup: all-node scan vs grid index (one query per node)",
             &["Swarm", "Scan (us/query)", "Index (us/query)", "Speedup"],
             &rows,
         );

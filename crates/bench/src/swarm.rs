@@ -238,8 +238,8 @@ pub struct ChurnSpec {
     /// the fig10 scaling axis. Ignored by [`build_churn_swarm`]; used
     /// by [`build_churn_swarm_sharded`].
     pub shards: usize,
-    /// Hex tiles per shard-partition region side
-    /// ([`SimConfig::region_tiles`]): larger regions give each shard a
+    /// Grid cells (one radio range across) per shard-partition region
+    /// side ([`SimConfig::region_tiles`]): larger regions give each shard a
     /// contiguous neighborhood with fewer seams, hence fewer
     /// cross-shard envelopes and handoffs. Speed only — outcomes are
     /// bit-identical at any value.

@@ -35,12 +35,6 @@ impl LatticeConfig {
         self.d
     }
 
-    /// The circumradius of a hexagonal Voronoi cell, `d/√3`: no location
-    /// is farther than this from its snapped lattice point.
-    pub fn circumradius(&self) -> f64 {
-        self.d / 3f64.sqrt()
-    }
-
     /// The primitive vectors `a₁ = (d, 0)`, `a₂ = (d/2, √3·d/2)`.
     pub fn primitive_vectors(&self) -> ((f64, f64), (f64, f64)) {
         ((self.d, 0.0), (self.d / 2.0, 3f64.sqrt() / 2.0 * self.d))
@@ -98,29 +92,13 @@ impl LatticeConfig {
     /// (inclusive), sorted by `(u1, u2)` — the vicinity lattice point set
     /// `V(O, d, l, D)`.
     pub fn points_within(&self, center: LatticePoint, range: f64) -> Vec<LatticePoint> {
-        let mut out = Vec::new();
-        self.points_within_into(center, range, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`LatticeConfig::points_within`]: clears
-    /// `out` and fills it with the vicinity point set, sorted by
-    /// `(u1, u2)`. Hot paths (the simulator's spatial index queries cells
-    /// once per broadcast and per BFS visit) reuse one buffer across
-    /// calls.
-    pub fn points_within_into(
-        &self,
-        center: LatticePoint,
-        range: f64,
-        out: &mut Vec<LatticePoint>,
-    ) {
         assert!(range >= 0.0 && range.is_finite(), "range must be non-negative");
-        out.clear();
         // |u1 a1 + u2 a2| >= (|u1| + |u2|) * d * sin(60°) is loose; a safe
         // bounding box is range / (d·√3/2) in u2 and range/d + that in u1.
         let sqrt3 = 3f64.sqrt();
         let u2_span = (range / (self.d * sqrt3 / 2.0)).ceil() as i64 + 1;
         let u1_span = (range / self.d).ceil() as i64 + u2_span + 1;
+        let mut out = Vec::new();
         for du1 in -u1_span..=u1_span {
             for du2 in -u2_span..=u2_span {
                 let p = LatticePoint { u1: center.u1 + du1, u2: center.u2 + du2 };
@@ -130,22 +108,7 @@ impl LatticeConfig {
             }
         }
         out.sort_unstable();
-    }
-
-    /// The lattice points whose Voronoi cells could contain a location
-    /// within Euclidean `range` of the arbitrary position `pos` —
-    /// the cell cover a bucket index must scan to answer a range query.
-    ///
-    /// Every location snaps to a point at most [`circumradius`] `r_c`
-    /// away, so for a member `m` of cell `q` with `|m − pos| ≤ range`,
-    /// the triangle inequality gives `|q − snap(pos)| ≤ range + 2·r_c`.
-    /// A small absolute margin absorbs the floating-point slack so
-    /// members *exactly* at `range` are never missed.
-    ///
-    /// [`circumradius`]: LatticeConfig::circumradius
-    pub fn cells_covering_into(&self, pos: (f64, f64), range: f64, out: &mut Vec<LatticePoint>) {
-        let cover = range + 2.0 * self.circumradius() + 1e-6;
-        self.points_within_into(self.snap(pos), cover, out);
+        out
     }
 
     /// Canonical bytes identifying this lattice (origin + scale), mixed
@@ -269,50 +232,6 @@ mod tests {
         let pts = c.points_within(center, 25.0);
         assert!(pts.windows(2).all(|w| w[0] < w[1]));
         assert!(pts.contains(&center));
-    }
-
-    #[test]
-    fn points_within_into_reuses_buffer() {
-        let c = cfg();
-        let center = LatticePoint { u1: 0, u2: 0 };
-        let mut buf = vec![LatticePoint { u1: 99, u2: 99 }];
-        c.points_within_into(center, 10.0, &mut buf);
-        assert_eq!(buf, c.points_within(center, 10.0));
-        c.points_within_into(center, 5.0, &mut buf);
-        assert_eq!(buf, vec![center], "buffer must be cleared between calls");
-    }
-
-    #[test]
-    fn cells_covering_catches_all_in_range_members() {
-        // Every location within `range` of `pos` snaps to a cell in the
-        // cover — including members exactly at `range` and on cell
-        // boundaries.
-        let c = cfg();
-        let mut cover = Vec::new();
-        for i in 0..40 {
-            let pos = ((i as f64 * 3.7) % 50.0 - 25.0, (i as f64 * 5.3) % 50.0 - 25.0);
-            let range = 5.0 + (i as f64 * 1.9) % 45.0;
-            c.cells_covering_into(pos, range, &mut cover);
-            for k in 0..64 {
-                let theta = k as f64 / 64.0 * std::f64::consts::TAU;
-                // Members exactly on the range circle and just inside it.
-                for r in [range, range * 0.5, range * 0.999] {
-                    let member = (pos.0 + r * theta.cos(), pos.1 + r * theta.sin());
-                    let cell = c.snap(member);
-                    assert!(
-                        cover.contains(&cell),
-                        "member {member:?} (r={r}) of query at {pos:?} range {range} \
-                         snapped to uncovered cell {cell:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn circumradius_bounds_snap_distance() {
-        let c = cfg();
-        assert!((c.circumradius() - 10.0 / 3f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! RNG streams derived from one seed, so every run is reproducible.
 //!
 //! Range queries (who hears a broadcast, who is a BFS neighbor) are
-//! answered by a hex-grid [`spatial::SpatialIndex`] keyed on the same
-//! hexagonal lattice the paper uses for vicinity privacy, with cells one
-//! radio range across, scaling swarms to 10k+ nodes; its tests hold
-//! every query to an all-node scan. The event queue is pluggable
+//! answered by a [`spatial::SpatialIndex`] over square grid cells one
+//! radio range across, so a query reads the 3×3 cells around its
+//! center, scaling swarms to 10k+ nodes; its tests hold every query to
+//! an all-node scan. The event queue is pluggable
 //! ([`sched`], selected by [`sim::SimConfig::scheduler`]): a
 //! hierarchical calendar queue with O(1)-amortized operations for the
 //! bounded-horizon bulk of the traffic, with the original binary heap
@@ -23,7 +23,7 @@
 //! in `docs/SIM.md`.
 //!
 //! For multi-core scale, the whole engine shards spatially:
-//! [`shard::ShardedSimulator`] partitions the hex tiles across
+//! [`shard::ShardedSimulator`] partitions the same grid cells across
 //! [`sim::SimConfig::shards`] worker cores synchronized by conservative
 //! lookahead, bit-identical to the single-threaded [`sim::Simulator`]
 //! at any shard count (the shard contract is `docs/SIM.md` §6).

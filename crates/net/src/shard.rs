@@ -1,7 +1,7 @@
 //! Spatially-sharded parallel execution of the simulator.
 //!
-//! [`ShardedSimulator`] partitions the hex-grid tiles of the plane
-//! across [`SimConfig::shards`] engine cores — each with its **own**
+//! [`ShardedSimulator`] partitions the square grid cells of the plane
+//! (the spatial index's own, one radio range across) across [`SimConfig::shards`] engine cores — each with its **own**
 //! scheduler, per-node RNG streams, and [`Metrics`] — and runs them on
 //! scoped worker threads under **conservative-lookahead
 //! synchronization**: the radio propagation delay
@@ -13,7 +13,7 @@
 //!
 //! # Memory model: one shared topology, per-shard node arenas
 //!
-//! The coordinator owns **one** global `Topology` (positions + hex
+//! The coordinator owns **one** global `Topology` (positions + grid
 //! index). Positions change only at quiesce points, so worker cores
 //! borrow it read-only during windows and answer every neighbor query
 //! from it — broadcast targets, fan-out-capped k-nearest, unicast BFS
@@ -44,7 +44,7 @@
 //!   exact all window long, and every core's neighbor query is the
 //!   oracle's own query against the same data.
 //!
-//! Mobility may carry a node onto a tile owned by a different shard;
+//! Mobility may carry a node onto a cell owned by a different shard;
 //! the quiesce-point rebalance then *hands off* the node — its
 //! application, RNG stream, emission counter, and every pending queue
 //! entry targeting it (via [`crate::sched::Scheduler::extract`] /
@@ -65,7 +65,6 @@ use crate::sim::{
     NodeState, SimConfig, SimDriver,
 };
 use crate::topo::{distance, TopoScratch, Topology};
-use msb_lattice::LatticePoint;
 use msb_telemetry::{Recorder, TraceTag};
 use std::collections::HashSet;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -342,14 +341,13 @@ impl<A: NodeApp> ShardCore<A> {
     }
 }
 
-/// The owning shard of a hex tile: tiles aggregate into
-/// `region_tiles × region_tiles` square regions (in lattice
-/// coordinates), and the region hashes to a shard. With
-/// `region_tiles == 1` this is exactly the historical per-tile hash.
-fn region_owner(region_tiles: i64, shards: u64, tile: LatticePoint) -> u32 {
-    let u1 = tile.u1.div_euclid(region_tiles);
-    let u2 = tile.u2.div_euclid(region_tiles);
-    let h = splitmix64(splitmix64(u1 as u64) ^ (u2 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+/// The owning shard of a grid cell: cells aggregate into
+/// `region_tiles × region_tiles` square regions, and the region hashes
+/// to a shard.
+fn region_owner(region_tiles: i64, shards: u64, cell: (i64, i64)) -> u32 {
+    let rx = cell.0.div_euclid(region_tiles);
+    let ry = cell.1.div_euclid(region_tiles);
+    let h = splitmix64(splitmix64(rx as u64) ^ (ry as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     (h % shards) as u32
 }
 
@@ -387,9 +385,9 @@ struct Reply {
 pub struct ShardedSimulator<A: NodeApp> {
     config: SimConfig,
     seed: u64,
-    /// The one shared world topology (positions + hex index); workers
-    /// borrow it read-only during windows. Its hex lattice is also the
-    /// tile lattice shards partition the plane by.
+    /// The one shared world topology (positions + grid index); workers
+    /// borrow it read-only during windows. Its grid cells are also the
+    /// tiles shards partition the plane by.
     topo: Topology,
     cores: Vec<ShardCore<A>>,
     /// Node → owning shard (the coordinator's authoritative table,
@@ -407,9 +405,8 @@ pub struct ShardedSimulator<A: NodeApp> {
 impl<A: NodeApp> ShardedSimulator<A> {
     /// Creates a sharded simulator with `config.shards` cores (clamped
     /// to at least 1) and the given RNG seed. The tile partition uses
-    /// the spatial index's hex lattice, with tiles one radio range
-    /// across, aggregated into [`SimConfig::region_tiles`]-sized
-    /// regions.
+    /// the spatial index's square grid cells, one radio range across,
+    /// aggregated into [`SimConfig::region_tiles`]-sized regions.
     ///
     /// # Panics
     ///
@@ -473,13 +470,13 @@ impl<A: NodeApp> ShardedSimulator<A> {
         self.cores.len()
     }
 
-    /// The shard that owns the tile containing `position`.
+    /// The shard that owns the grid cell containing `position`.
     fn tile_owner(&self, position: (f64, f64)) -> u32 {
         if self.cores.len() == 1 {
             return 0;
         }
         let region = self.config.region_tiles.max(1) as i64;
-        region_owner(region, self.cores.len() as u64, self.topo.lattice().snap(position))
+        region_owner(region, self.cores.len() as u64, self.topo.cell_of(position))
     }
 
     /// Adds a node at `position`, returning its id: the shared topology
@@ -547,7 +544,7 @@ impl<A: NodeApp> ShardedSimulator<A> {
         self.cores.iter().map(|c| c.states.resident_bytes()).collect()
     }
 
-    /// Resident bytes of the *shared* world topology (positions + hex
+    /// Resident bytes of the *shared* world topology (positions + grid
     /// index) — held exactly once, whatever the shard count.
     pub fn shared_topology_bytes(&self) -> u64 {
         self.topo.resident_bytes()
@@ -636,7 +633,7 @@ impl<A: NodeApp> ShardedSimulator<A> {
     }
 
     /// Moves one node in the shared topology and hands it off if its
-    /// tile now belongs to a different shard. Must only be called at
+    /// cell now belongs to a different shard. Must only be called at
     /// quiesce points (never mid-`run_until`).
     pub fn set_position(&mut self, id: NodeId, position: (f64, f64)) {
         self.topo.set_position(id.index(), position);

@@ -75,8 +75,8 @@ pub enum DeliveryMode {
 /// ([`SimConfig::scheduler`], [`SimConfig::delivery`],
 /// [`SimConfig::shards`], [`SimConfig::region_tiles`]) do not change
 /// the stream at all — only [`Metrics::peak_queue_len`] (shard count)
-/// reflects them. Neighbor queries always go through the hex index
-/// ([`crate::spatial::SpatialIndex`]) with cells one radio range
+/// reflects them. Neighbor queries always go through the grid index
+/// ([`crate::spatial::SpatialIndex`]) with square cells one radio range
 /// across.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -107,23 +107,23 @@ pub struct SimConfig {
     /// Message representation payload-aware applications should send;
     /// see [`DeliveryMode`].
     pub delivery: DeliveryMode,
-    /// Worker shards for [`crate::shard::ShardedSimulator`]: the hex
-    /// tiles of the plane are partitioned across this many engine cores
+    /// Worker shards for [`crate::shard::ShardedSimulator`]: the grid
+    /// cells of the plane are partitioned across this many engine cores
     /// running in parallel under conservative-lookahead sync. `1` (the
     /// default) runs the core inline without threads. The
     /// single-threaded [`Simulator`] ignores this field — it is *the*
     /// oracle any shard count is proven bit-identical to.
     pub shards: usize,
-    /// Side length, in hex tiles, of the square tile *regions* the
-    /// sharded engine assigns to shards: ownership is hashed per
-    /// `region_tiles × region_tiles` block of tiles rather than per
-    /// tile. `1` (the default) reproduces the historical per-tile hash
-    /// exactly. Larger regions give each shard spatially contiguous
-    /// territory with fewer seams (tile borders with *other* shards),
-    /// hence fewer cross-shard envelopes and fewer mobility handoffs —
-    /// the churn scenarios (`ChurnSpec::standard`) set 4. A speed-only
-    /// knob: the event stream is bit-identical at any value (the
-    /// differential suites sweep it). Ignored when `shards == 1`.
+    /// Side length, in grid cells, of the square *regions* the sharded
+    /// engine assigns to shards: ownership is hashed per
+    /// `region_tiles × region_tiles` block of cells. `1` (the default)
+    /// hashes each cell on its own. Larger regions give each shard
+    /// spatially contiguous territory with fewer seams (cell borders
+    /// with *other* shards), hence fewer cross-shard envelopes and
+    /// fewer mobility handoffs — the churn scenarios
+    /// (`ChurnSpec::standard`) set 4. A speed-only knob: the event
+    /// stream is bit-identical at any value (the differential suites
+    /// sweep it). Ignored when `shards == 1`.
     pub region_tiles: usize,
 }
 
@@ -286,9 +286,9 @@ pub struct Metrics {
     /// node visited by [`Simulator::shortest_path`] /
     /// [`Simulator::connected_components`] BFS.
     pub neighbor_queries: u64,
-    /// Hex cells examined to answer those queries — the index-efficiency
-    /// observable: `cells_scanned / neighbor_queries` stays ≈ constant
-    /// (19 measured with cells one radio range across) however large
+    /// Grid cells read to answer those queries — the index-efficiency
+    /// observable: `cells_scanned / neighbor_queries` stays constant
+    /// (9, the 3×3 box of cells one radio range across) however large
     /// the swarm grows.
     pub cells_scanned: u64,
     /// Events ever enqueued: every delivery, timer firing, and
@@ -386,7 +386,7 @@ impl<A> NodeState<A> {
 }
 
 /// SplitMix64 finalizer — the shared bit-mixer behind per-node RNG
-/// seeding and shard tile hashing.
+/// seeding and shard region hashing.
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

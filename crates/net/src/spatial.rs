@@ -1,100 +1,97 @@
-//! Hex-grid spatial index over node positions.
+//! Square-grid spatial index over node positions.
 //!
 //! The simulator's hot queries — "which nodes are within radio range of
 //! this position?" for every broadcast and every BFS visit — were linear
 //! scans over all nodes, capping experiments at a few hundred nodes.
-//! [`SpatialIndex`] buckets nodes by the [`msb_lattice`] hexagonal cell
-//! their position snaps to (the paper's own vicinity construct, §III-D)
-//! and answers a range query by scanning only the cells that could hold
-//! an in-range node, making query cost proportional to local density
-//! instead of swarm size.
+//! [`SpatialIndex`] buckets nodes by the square grid cell their position
+//! falls in, `(⌊x/s⌋, ⌊y/s⌋)` for cell side `s`, and answers a range
+//! query by reading only the cells of the box `center ± range`, making
+//! query cost proportional to local density instead of swarm size.
 //!
 //! # Cell-size heuristic
 //!
-//! With cell scale `d` and radio range `R`, a query must scan every cell
-//! within `R + 2·d/√3` of the query position (see
-//! [`LatticeConfig::cells_covering_into`]), i.e. about
-//! `(2π/√3)·((R + 2d/√3)/d)²` cells, and then distance-filter the
-//! candidates those cells hold — everything within roughly `R + 2d/√3`
-//! of the query.
+//! With cell side `s` and radio range `R`, a query reads the cells of
+//! the box `center ± R`, `(⌈2R/s⌉ + 1)²` of them at most, and then
+//! distance-filters the candidates those cells hold.
 //!
-//! * `d ≪ R`: many near-empty cells per query; hash-map traffic
+//! * `s ≪ R`: many near-empty cells per query; hash-map traffic
 //!   dominates.
-//! * `d ≫ R`: few cells, but each holds far-away nodes that all fail the
+//! * `s ≫ R`: few cells, but each holds far-away nodes that all fail the
 //!   distance filter — the scan degenerates back toward O(n).
-//! * `d ≈ R` balances the two: ≈ 17 cells per query analytically — 19
-//!   measured, boundary cells included — and a candidate set only
-//!   ≈ (1 + 2/√3)² ≈ 4.6× the true in-range population, independent
-//!   of swarm size. This is the one scale the simulator uses: its
-//!   topology builds the index with cells one radio range across.
+//! * `s = R` balances the two: a radio-range query reads 3×3 = 9 cells
+//!   covering 9R², so the candidate set is about 9/π ≈ 2.9× the true
+//!   in-range population, independent of swarm size. (The hex cell
+//!   cover this index used before read 19 cells, about 4.6×.) This is
+//!   the one scale the simulator uses: its topology builds the index
+//!   with cells one radio range across.
 //!
 //! Queries return candidate ids in ascending order and leave the exact
 //! distance filter to the caller, so the simulator sees exactly the
 //! nodes an all-node scan would keep: same candidates surviving the
 //! same `distance(a, b) <= range` comparison, visited in the same
-//! order, drawing the same RNG stream. `tests/spatial_differential.rs`
-//! holds the index queries to that scan over random scales and
-//! boundary placements, and the topology's tests hold the simulator's
-//! broadcast, k-nearest and routing queries to it.
+//! order, drawing the same RNG stream. The box is widened by a margin
+//! that covers the float error of that comparison (see
+//! [`SpatialIndex::candidates_into`]), so a node the filter keeps never
+//! sits in a cell outside it. `tests/spatial_differential.rs` holds the
+//! index queries to that scan over random scales and boundary
+//! placements, grid cell edges included, and the topology's tests hold
+//! the simulator's broadcast, k-nearest and routing queries to it.
 //!
 //! # Shared read-only queries
 //!
-//! Queries take `&self` plus an external [`SpatialScratch`], so one
-//! index can be borrowed immutably by many readers (the sharded
-//! engine's worker cores all answer BFS routing from the coordinator's
-//! single global index) while each reader reuses its own scratch
-//! buffers allocation-free.
+//! Queries take `&self` (k-NN queries also an external
+//! [`SpatialScratch`]), so one index can be borrowed immutably by many
+//! readers (the sharded engine's worker cores all answer BFS routing
+//! from the coordinator's single global index) while each reader reuses
+//! its own buffers allocation-free.
 
-use msb_lattice::{LatticeConfig, LatticePoint};
 use std::collections::HashMap;
 
-/// Reusable query-side buffers for [`SpatialIndex`] range and k-NN
-/// queries. Owning the scratch *outside* the index is what lets queries
-/// take `&self`: the index itself never mutates during a query, so any
+/// A grid cell, `(⌊x/side⌋, ⌊y/side⌋)`.
+type Cell = (i64, i64);
+
+/// Reusable query-side buffers for [`SpatialIndex::k_nearest_into`].
+/// Owning the scratch *outside* the index is what lets queries take
+/// `&self`: the index itself never mutates during a query, so any
 /// number of readers can share one index, each with its own scratch.
 #[derive(Debug, Clone, Default)]
 pub struct SpatialScratch {
-    /// Cell cover of the current query.
-    cover: Vec<LatticePoint>,
-    /// Candidate ids for [`SpatialIndex::k_nearest_into`].
+    /// Candidate ids of the current k-NN radius.
     knn_ids: Vec<u32>,
     /// Ranked `(distance, id)` pairs for k-NN selection.
     knn_ranked: Vec<(f64, u32)>,
 }
 
-/// A bucket index mapping hexagonal cells to the nodes inside them.
+/// A bucket index mapping square grid cells to the nodes inside them.
 ///
 /// Node ids are dense `u32` indices assigned append-only (matching
 /// [`Simulator::add_node`](crate::sim::Simulator::add_node) order);
 /// positions move with [`SpatialIndex::update`].
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
-    lattice: LatticeConfig,
+    side: f64,
     /// Cell → node ids inside it, each vec kept sorted ascending.
-    cells: HashMap<LatticePoint, Vec<u32>>,
+    cells: HashMap<Cell, Vec<u32>>,
     /// Per node, the cell it currently occupies.
-    node_cell: Vec<LatticePoint>,
+    node_cell: Vec<Cell>,
 }
 
 impl SpatialIndex {
-    /// Creates an empty index with hexagonal cell scale `cell_d` (see the
+    /// Creates an empty index with square cells `side` across (see the
     /// module docs for how to choose it; the simulator uses the radio
     /// range).
     ///
     /// # Panics
     ///
-    /// Panics if `cell_d` is not strictly positive and finite.
-    pub fn new(cell_d: f64) -> Self {
-        SpatialIndex {
-            lattice: LatticeConfig::new((0.0, 0.0), cell_d),
-            cells: HashMap::new(),
-            node_cell: Vec::new(),
-        }
+    /// Panics if `side` is not strictly positive and finite.
+    pub fn new(side: f64) -> Self {
+        assert!(side.is_finite() && side > 0.0, "cell side must be positive");
+        SpatialIndex { side, cells: HashMap::new(), node_cell: Vec::new() }
     }
 
-    /// The underlying lattice.
-    pub fn lattice(&self) -> &LatticeConfig {
-        &self.lattice
+    /// The cell holding `pos`: `(⌊x/side⌋, ⌊y/side⌋)`.
+    pub fn cell_of(&self, pos: (f64, f64)) -> (i64, i64) {
+        ((pos.0 / self.side).floor() as i64, (pos.1 / self.side).floor() as i64)
     }
 
     /// Number of indexed nodes.
@@ -121,16 +118,16 @@ impl SpatialIndex {
     pub fn resident_bytes(&self) -> u64 {
         let bucket_bytes: usize =
             self.cells.values().map(|b| b.capacity() * std::mem::size_of::<u32>()).sum::<usize>();
-        let entry = std::mem::size_of::<(LatticePoint, Vec<u32>)>();
+        let entry = std::mem::size_of::<(Cell, Vec<u32>)>();
         (bucket_bytes
             + self.cells.len() * entry
-            + self.node_cell.capacity() * std::mem::size_of::<LatticePoint>()) as u64
+            + self.node_cell.capacity() * std::mem::size_of::<Cell>()) as u64
     }
 
     /// Appends the next node (id `self.len()`) at `pos`.
     pub fn push(&mut self, pos: (f64, f64)) -> u32 {
         let id = self.node_cell.len() as u32;
-        let cell = self.lattice.snap(pos);
+        let cell = self.cell_of(pos);
         self.node_cell.push(cell);
         // Ids are appended in increasing order, so pushing keeps the
         // bucket sorted.
@@ -144,7 +141,7 @@ impl SpatialIndex {
     /// (their bucket's capacity is released with it); buckets that only
     /// *shrank* keep capacity until [`SpatialIndex::compact`].
     pub fn update(&mut self, id: u32, pos: (f64, f64)) {
-        let new_cell = self.lattice.snap(pos);
+        let new_cell = self.cell_of(pos);
         let old_cell = self.node_cell[id as usize];
         if new_cell == old_cell {
             return;
@@ -183,28 +180,36 @@ impl SpatialIndex {
     /// Fills `out` with every node id whose position *may* be within
     /// `range` of `center` — a superset of the true answer, sorted
     /// ascending, never containing duplicates (each node lives in exactly
-    /// one cell). Returns the number of cells scanned.
+    /// one cell). Returns the number of cells in the box it read.
     ///
     /// The caller applies the exact distance filter; see the module docs
     /// for why the filter stays out of the index.
-    pub fn candidates_into(
-        &self,
-        scratch: &mut SpatialScratch,
-        center: (f64, f64),
-        range: f64,
-        out: &mut Vec<u32>,
-    ) -> u64 {
+    pub fn candidates_into(&self, center: (f64, f64), range: f64, out: &mut Vec<u32>) -> u64 {
         out.clear();
-        self.lattice.cells_covering_into(center, range, &mut scratch.cover);
-        for cell in &scratch.cover {
-            if let Some(bucket) = self.cells.get(cell) {
-                out.extend_from_slice(bucket);
+        // The margin. With u = 2⁻⁵³, a float `distance <= range` (one
+        // rounding each in the subtraction, the square, the sum and the
+        // root) bounds a node's exact offset along either axis by
+        // range / (1 − u)³ < range·(1 + 4u), and forming `center ± r`
+        // rounds once more, by at most u·(|center| + r). Widening by
+        // 1e-12 of range and of the center's magnitude covers both many
+        // times over, so a node the filter keeps is never outside the
+        // box. The widening stays under a micrometre for coordinates up
+        // to 1e6 m, so a radio-range box spans more than 3×3 cells only
+        // for centers that close to a cell edge.
+        let r = range + (range + center.0.abs().max(center.1.abs())) * 1e-12;
+        let lo = self.cell_of((center.0 - r, center.1 - r));
+        let hi = self.cell_of((center.0 + r, center.1 + r));
+        for x in lo.0..=hi.0 {
+            for y in lo.1..=hi.1 {
+                if let Some(bucket) = self.cells.get(&(x, y)) {
+                    out.extend_from_slice(bucket);
+                }
             }
         }
         // Buckets are internally sorted but arrive in cell order; restore
         // the global ascending id order an all-node scan iterates in.
         out.sort_unstable();
-        scratch.cover.len() as u64
+        ((hi.0 - lo.0 + 1) * (hi.1 - lo.1 + 1)) as u64
     }
 
     /// Fills `out` with the `k` nodes nearest to `center` among those
@@ -213,12 +218,12 @@ impl SpatialIndex {
     /// the smaller id, which is what keeps the answer identical to a
     /// sorted all-node scan. `pos_of` supplies each candidate's exact
     /// position (the index stores cells, not coordinates). Returns the
-    /// number of cells scanned.
+    /// number of cells read.
     ///
-    /// The search grows its cell-cover radius geometrically from one
-    /// cell scale until `k` in-radius nodes are found or `max_range` is
-    /// reached, so a query in a dense crowd touches only nearby cells —
-    /// this is the fan-out-capped re-flood query
+    /// The search grows its radius geometrically from one cell side
+    /// until `k` in-radius nodes are found or `max_range` is reached, so
+    /// a query in a dense crowd touches only nearby cells — this is the
+    /// fan-out-capped re-flood query
     /// ([`NodeCtx::broadcast_k_nearest`](crate::sim::NodeCtx::broadcast_k_nearest))
     /// and the building block for directional-radio neighborhoods.
     ///
@@ -239,14 +244,13 @@ impl SpatialIndex {
         if k == 0 {
             return 0;
         }
-        let mut ids = std::mem::take(&mut scratch.knn_ids);
-        let mut ranked = std::mem::take(&mut scratch.knn_ranked);
+        let SpatialScratch { knn_ids: ids, knn_ranked: ranked } = scratch;
         let mut scanned = 0u64;
-        let mut r = self.lattice.d().min(max_range);
+        let mut r = self.side.min(max_range);
         loop {
-            scanned += self.candidates_into(scratch, center, r, &mut ids);
+            scanned += self.candidates_into(center, r, ids);
             ranked.clear();
-            for &i in &ids {
+            for &i in ids.iter() {
                 let p = pos_of(i);
                 let d = ((p.0 - center.0).powi(2) + (p.1 - center.1).powi(2)).sqrt();
                 if d <= r {
@@ -261,8 +265,6 @@ impl SpatialIndex {
                 });
                 ranked.truncate(k);
                 out.extend(ranked.iter().map(|&(_, i)| i));
-                scratch.knn_ids = ids;
-                scratch.knn_ranked = ranked;
                 return scanned;
             }
             r = (r * 2.0).min(max_range);
@@ -289,9 +291,8 @@ mod tests {
         center: (f64, f64),
         range: f64,
     ) -> Vec<u32> {
-        let mut scratch = SpatialScratch::default();
         let mut cand = Vec::new();
-        idx.candidates_into(&mut scratch, center, range, &mut cand);
+        idx.candidates_into(center, range, &mut cand);
         cand.retain(|&i| {
             let p = positions[i as usize];
             ((p.0 - center.0).powi(2) + (p.1 - center.1).powi(2)).sqrt() <= range
@@ -308,7 +309,7 @@ mod tests {
             idx.push(p);
         }
         let mut cand = Vec::new();
-        idx.candidates_into(&mut SpatialScratch::default(), (30.0, 30.0), 25.0, &mut cand);
+        idx.candidates_into((30.0, 30.0), 25.0, &mut cand);
         assert!(cand.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates: {cand:?}");
     }
 
@@ -359,7 +360,7 @@ mod tests {
         idx.update(0, (1.0, 1.0)); // same cell
         assert_eq!(idx.occupied_cells(), 1);
         let mut cand = Vec::new();
-        idx.candidates_into(&mut SpatialScratch::default(), (0.0, 0.0), 10.0, &mut cand);
+        idx.candidates_into((0.0, 0.0), 10.0, &mut cand);
         assert_eq!(cand, vec![0]);
     }
 
@@ -367,8 +368,7 @@ mod tests {
     fn empty_index_returns_nothing() {
         let idx = SpatialIndex::new(10.0);
         let mut cand = vec![7];
-        let scanned =
-            idx.candidates_into(&mut SpatialScratch::default(), (0.0, 0.0), 100.0, &mut cand);
+        let scanned = idx.candidates_into((0.0, 0.0), 100.0, &mut cand);
         assert!(cand.is_empty());
         assert!(scanned > 0, "cells are scanned even when unoccupied");
     }
@@ -395,7 +395,7 @@ mod tests {
         );
         // Queries still answer exactly.
         let mut cand = Vec::new();
-        idx.candidates_into(&mut SpatialScratch::default(), (0.0, 0.0), 5.0, &mut cand);
+        idx.candidates_into((0.0, 0.0), 5.0, &mut cand);
         assert_eq!(cand, vec![0]);
     }
 
@@ -495,7 +495,7 @@ mod tests {
 
     #[test]
     fn exact_range_boundary_is_a_candidate() {
-        // A node exactly at `range` must survive: the cover's margin
+        // A node exactly at `range` must survive: the box's margin
         // absorbs float slack.
         let mut idx = SpatialIndex::new(50.0);
         let positions = vec![(0.0, 0.0), (50.0, 0.0), (150.0, 0.0)];

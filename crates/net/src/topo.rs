@@ -1,5 +1,5 @@
-//! Shared radio-topology geometry: node positions, the hex spatial
-//! index, and the neighbor-query primitives both engines —
+//! Shared radio-topology geometry: node positions, the square-grid
+//! spatial index, and the neighbor-query primitives both engines —
 //! the single-threaded [`crate::sim::Simulator`] and the per-shard
 //! cores of [`crate::shard::ShardedSimulator`] — answer broadcasts
 //! and routing from.
@@ -15,7 +15,6 @@
 
 use crate::sim::Metrics;
 use crate::spatial::{SpatialIndex, SpatialScratch};
-use msb_lattice::LatticeConfig;
 
 /// Euclidean distance between two positions.
 pub(crate) fn distance(a: (f64, f64), b: (f64, f64)) -> f64 {
@@ -29,13 +28,14 @@ pub(crate) fn distance(a: (f64, f64), b: (f64, f64)) -> f64 {
 pub(crate) struct TopoScratch {
     /// Candidate ids of the in-flight range query.
     cand: Vec<u32>,
-    /// Index-side buffers (cell cover, k-NN ranking).
+    /// Index-side buffers (k-NN ranking).
     spatial: SpatialScratch,
 }
 
 /// The geometry every engine queries: one position per node (indexed
-/// by raw node id) and the hex index over them, with cells one radio
-/// range across (the cell-size sweet spot, see [`crate::spatial`]).
+/// by raw node id) and the grid index over them, with square cells one
+/// radio range across (the cell-size sweet spot, see
+/// [`crate::spatial`]).
 #[derive(Debug, Clone)]
 pub(crate) struct Topology {
     radio_range: f64,
@@ -50,10 +50,10 @@ impl Topology {
         Topology { radio_range, positions: Vec::new(), index: SpatialIndex::new(radio_range) }
     }
 
-    /// The index's hex lattice — also the tile lattice the sharded
+    /// The index's grid cell holding `pos` — also the tile the sharded
     /// engine partitions the plane by.
-    pub(crate) fn lattice(&self) -> &LatticeConfig {
-        self.index.lattice()
+    pub(crate) fn cell_of(&self, pos: (f64, f64)) -> (i64, i64) {
+        self.index.cell_of(pos)
     }
 
     pub(crate) fn push(&mut self, position: (f64, f64)) {
@@ -85,7 +85,7 @@ impl Topology {
     }
 
     /// One neighbor range query around node `cur`: invokes `f(i, pos_i)`
-    /// for every node in the hex cells that *may* hold a node within
+    /// for every node in the grid cells that *may* hold a node within
     /// radio range, in ascending id order. The caller applies the exact
     /// `distance <= range` filter, so the survivors are exactly the
     /// nodes an all-node scan would keep, in the same order (the test
@@ -99,12 +99,8 @@ impl Topology {
     ) {
         metrics.neighbor_queries += 1;
         let mut cand = std::mem::take(&mut scratch.cand);
-        metrics.cells_scanned += self.index.candidates_into(
-            &mut scratch.spatial,
-            self.positions[cur],
-            self.radio_range,
-            &mut cand,
-        );
+        metrics.cells_scanned +=
+            self.index.candidates_into(self.positions[cur], self.radio_range, &mut cand);
         for &i in &cand {
             f(i as usize, self.positions[i as usize]);
         }
@@ -377,7 +373,7 @@ mod tests {
 
     proptest! {
         /// Broadcast targets, k-nearest sets, BFS routes (with their
-        /// query counts) and components from the hex index equal what
+        /// query counts) and components from the grid index equal what
         /// an all-node scan gives, on layouts with nodes exactly at
         /// radio range, co-located nodes and disconnected islands,
         /// before and after a third of the nodes move.

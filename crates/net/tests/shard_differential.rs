@@ -10,7 +10,7 @@
 //! suite attacks the seams where the conservative-lookahead design
 //! could leak nondeterminism:
 //!
-//! * broadcast radii straddling tiles owned by different shards (every
+//! * broadcast radii straddling cells owned by different shards (every
 //!   hop is a cross-shard envelope);
 //! * mid-run [`ShardedSimulator::inject`] into a node homed on a
 //!   remote shard;
@@ -175,14 +175,14 @@ fn sharded_traces_bit_identical_to_oracle() {
 }
 
 /// A chain of nodes spaced under the radio range marches across many
-/// hex tiles, so consecutive hops keep landing on different shards:
+/// grid cells, so consecutive hops keep landing on different shards:
 /// every broadcast is a cross-shard envelope and the flood order is
 /// fully exposed to the lookahead windows.
 #[test]
 fn tile_straddling_chain_floods_identically() {
     let n = 24usize;
     // 30 m spacing at 50 m range: each node hears its immediate
-    // neighbors only; the chain spans ~700 m — many tiles.
+    // neighbors only; the chain spans ~700 m — many cells.
     let positions: Vec<(f64, f64)> = (0..n).map(|i| (30.0 * i as f64, 25.0)).collect();
     let run = |shards: usize| {
         let cfg = SimConfig { loss_rate: 0.0, shards, ..SimConfig::default() };
@@ -405,9 +405,10 @@ fn envelope_batching_is_trace_invisible() {
 }
 
 /// The seam scenario behind the seam-oscillation proptest: a chain of
-/// nodes sitting just off a lattice seam, mirror-flipped across it
-/// (and crept along it) at every quiesce point, so each mobility tick
-/// re-snaps every node into a different tile — and, at small region
+/// nodes sitting just off a cell seam (the grid line y = 0),
+/// mirror-flipped across it (and crept along it) at every quiesce
+/// point, so each mobility tick moves every node into a different
+/// cell — and, at small region
 /// sizes, onto a different shard, queued recurring timers in tow.
 /// Every flip re-buckets every node in the shared spatial index *and*
 /// forces a mass handoff; the outcome must still be the oracle's, bit
@@ -475,8 +476,8 @@ proptest! {
         prop_assert_eq!(sharded.3, oracle.3, "clock diverged: seed {} n {} shards {}", seed, n, shards);
     }
 
-    /// Mass re-bucketing and handoff at tile seams: mirror-flip
-    /// oscillation across a lattice seam at every quiesce point (see
+    /// Mass re-bucketing and handoff at cell seams: mirror-flip
+    /// oscillation across a cell seam at every quiesce point (see
     /// [`run_seam`]), swept over shard counts and region sizes.
     #[test]
     fn seam_oscillation_matches_the_oracle(

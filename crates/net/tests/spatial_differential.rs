@@ -1,13 +1,14 @@
-//! Differential oracle: the hex-grid spatial index against the naive
+//! Differential oracle: the square-grid spatial index against the naive
 //! linear scan.
 //!
 //! The index's contract is *bit identity* with a scan over every node:
 //! the same candidates survive the same `distance <= range` filter, in
 //! the same ascending id order, and k-nearest selection ranks them the
 //! same way. These tests pin that contract with property tests over
-//! random positions, ranges, and lattice scales (including nodes
-//! exactly on cell boundaries and exactly at radio range) and under
-//! incremental position updates. The simulator's own queries
+//! random positions, ranges, and cell sides (including nodes exactly on
+//! the grid's cell edges and corners, a few ulps either side of them,
+//! and exactly at radio range, near the origin and near ±1e6 m) and
+//! under incremental position updates. The simulator's own queries
 //! (broadcast targets, k-nearest, BFS routes) are held to the scan by
 //! the property test in `src/topo.rs`.
 
@@ -30,7 +31,7 @@ fn naive_in_range(positions: &[(f64, f64)], center: (f64, f64), range: f64) -> V
         .collect()
 }
 
-/// The indexed answer: candidates from the cell cover, exact-filtered.
+/// The indexed answer: candidates from the cell box, exact-filtered.
 fn indexed_in_range(
     index: &SpatialIndex,
     positions: &[(f64, f64)],
@@ -38,14 +39,15 @@ fn indexed_in_range(
     range: f64,
 ) -> Vec<u32> {
     let mut cand = Vec::new();
-    index.candidates_into(&mut SpatialScratch::default(), center, range, &mut cand);
+    index.candidates_into(center, range, &mut cand);
     cand.retain(|&i| distance(positions[i as usize], center) <= range);
     cand
 }
 
-/// Positions stressing every boundary: uniform scatter, nodes pinned to
-/// exact lattice points and cell edge midpoints of the *index* lattice,
-/// and nodes at exactly `range` from the query center.
+/// Positions stressing boundaries in every direction: uniform scatter,
+/// nodes pinned to the points and Voronoi edge midpoints of a hex
+/// lattice of scale `cell_d` (off the index's square grid), and nodes at
+/// exactly `range` from the query center.
 fn boundary_positions(
     seed: u64,
     n: usize,
@@ -60,7 +62,7 @@ fn boundary_positions(
         let p = match i % 4 {
             // Scatter.
             0 => (rng.gen_range(-300.0..300.0), rng.gen_range(-300.0..300.0)),
-            // Exact lattice points (cell centers).
+            // Exact hex lattice points (hex cell centers).
             1 => {
                 let u1 = rng.gen_range(-10i64..10) as f64;
                 let u2 = rng.gen_range(-10i64..10) as f64;
@@ -84,10 +86,62 @@ fn boundary_positions(
     out
 }
 
+/// `v` moved `ulps` representable values up (or down, if negative).
+fn nudge(v: f64, ulps: i32) -> f64 {
+    (0..ulps.abs()).fold(v, |v, _| if ulps > 0 { v.next_up() } else { v.next_down() })
+}
+
+/// The k-NN oracle: ascending `(distance, id)` over every node within
+/// `range`, truncated to `k`.
+fn naive_k_nearest(positions: &[(f64, f64)], center: (f64, f64), k: usize, range: f64) -> Vec<u32> {
+    let mut ranked: Vec<(f64, u32)> = positions
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (distance(p, center), i as u32))
+        .filter(|&(d, _)| d <= range)
+        .collect();
+    ranked.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+    ranked.truncate(k);
+    ranked.into_iter().map(|(_, i)| i).collect()
+}
+
+/// Positions on the square grid's own boundaries, for cells `side`
+/// across: for each query center, nodes exactly `range` along each axis
+/// from it, nudged up to two ulps either way, with the other coordinate
+/// the center's own or one ulp off it; plus `n_edge` random cell edges
+/// and corners near the centers, each coordinate nudged up to two ulps.
+fn grid_boundary_positions(
+    seed: u64,
+    side: f64,
+    centers: &[(f64, f64)],
+    range: f64,
+    n_edge: usize,
+) -> Vec<(f64, f64)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Vec::new();
+    for &(cx, cy) in centers {
+        for ulps in -2..=2 {
+            for perp in -1..=1 {
+                out.push((nudge(cx + range, ulps), nudge(cy, perp)));
+                out.push((nudge(cx - range, ulps), nudge(cy, perp)));
+                out.push((nudge(cx, perp), nudge(cy + range, ulps)));
+                out.push((nudge(cx, perp), nudge(cy - range, ulps)));
+            }
+        }
+    }
+    for _ in 0..n_edge {
+        let (cx, cy) = centers[rng.gen_range(0..centers.len())];
+        let x = ((cx / side).round() + rng.gen_range(-3i32..=3) as f64) * side;
+        let y = ((cy / side).round() + rng.gen_range(-3i32..=3) as f64) * side;
+        out.push((nudge(x, rng.gen_range(-2..=2)), nudge(y, rng.gen_range(-2..=2))));
+    }
+    out
+}
+
 proptest! {
     /// Indexed and naive range queries agree — same node set, same
     /// ascending order — for random populations, query centers, radio
-    /// ranges, and lattice scales, with adversarial boundary placements.
+    /// ranges, and cell sides, with adversarial boundary placements.
     #[test]
     fn indexed_query_equals_naive_scan(
         seed in any::<u64>(),
@@ -141,15 +195,7 @@ proptest! {
             |i| positions[i as usize],
             &mut indexed,
         );
-        let mut ranked: Vec<(f64, u32)> = positions
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (distance(p, center), i as u32))
-            .filter(|&(d, _)| d <= range)
-            .collect();
-        ranked.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-        ranked.truncate(k);
-        let naive: Vec<u32> = ranked.into_iter().map(|(_, i)| i).collect();
+        let naive = naive_k_nearest(&positions, center, k, range);
         prop_assert_eq!(indexed, naive, "cell_d={} range={} k={}", cell_scale, range, k);
     }
 
@@ -182,6 +228,64 @@ proptest! {
             let indexed = indexed_in_range(&index, &positions, p, range);
             let naive = naive_in_range(&positions, p, range);
             prop_assert_eq!(indexed, naive, "query from node {} at {:?}", i, p);
+        }
+    }
+
+    /// Range and k-NN queries agree with the oracle on the grid's own
+    /// boundaries: query centers on cell corners (or on a vertical cell
+    /// edge, off the horizontal ones), nodes at exactly the query range
+    /// along each axis give or take a few ulps, and nodes on or beside
+    /// cell edges and corners, near the origin and near ±1e6 m on each
+    /// axis. The float `distance <= range` filter keeps some nodes whose
+    /// exact offset is a hair past the range, so these cases fail unless
+    /// the index widens its box by a margin.
+    #[test]
+    fn grid_boundaries_equal_naive_scan(
+        seed in any::<u64>(),
+        side_idx in 0usize..5,
+        range_idx in 0usize..4,
+        far_x in 0usize..3,
+        far_y in 0usize..3,
+        y_frac_idx in 0usize..3,
+        k in 1usize..12,
+    ) {
+        let side = [37.5f64, 50.0, 7.5, 64.25, 33.3][side_idx];
+        let range = side * [1.0, 2.0, 0.5, 1.5][range_idx];
+        let base = |far: usize| ([0.0f64, 1e6, -1e6][far] / side).round() * side;
+        let y_frac = [0.0, 0.25, 0.5][y_frac_idx] * side;
+        let mut centers = Vec::new();
+        for kx in -2..=2 {
+            for ky in -2..=2 {
+                centers.push((
+                    base(far_x) + kx as f64 * side,
+                    base(far_y) + ky as f64 * side + y_frac,
+                ));
+            }
+        }
+        let positions = grid_boundary_positions(seed, side, &centers, range, 100);
+        let mut index = SpatialIndex::new(side);
+        for &p in &positions {
+            index.push(p);
+        }
+        let mut scratch = SpatialScratch::default();
+        let mut nearest = Vec::new();
+        for &center in &centers {
+            let indexed = indexed_in_range(&index, &positions, center, range);
+            let naive = naive_in_range(&positions, center, range);
+            prop_assert_eq!(indexed, naive, "side={} range={} center={:?}", side, range, center);
+            index.k_nearest_into(
+                &mut scratch,
+                center,
+                k,
+                range,
+                |i| positions[i as usize],
+                &mut nearest,
+            );
+            prop_assert_eq!(
+                &nearest,
+                &naive_k_nearest(&positions, center, k, range),
+                "side={} range={} center={:?} k={}", side, range, center, k
+            );
         }
     }
 }

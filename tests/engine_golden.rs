@@ -400,9 +400,10 @@ fn run_trace(seed: u64, engine: Engine) -> Run {
     })
 }
 
-/// The shard differential's seam oscillation: a chain just off a
-/// lattice seam, mirror-flipped across it and crept along it at every
-/// quiesce point, so every tick re-snaps every node into a new tile.
+/// The shard differential's seam oscillation: a chain just off a cell
+/// seam (the grid line y = 0), mirror-flipped across it and crept along
+/// it at every quiesce point, so every tick moves every node into a new
+/// cell.
 fn run_seam(seed: u64, engine: Engine) -> Run {
     let n = 16usize;
     let base: Vec<(f64, f64)> = (0..n).map(|i| (30.0 * i as f64, 24.0)).collect();
@@ -537,7 +538,7 @@ fn trace_scenario_matches_golden() {
             seed: 1,
             digest: "d7447467c01ae13a1dad577751aa5b84786dfc3549d7d551d2aef7ad8e855d08",
             neighbor_queries: 2375,
-            cells_scanned: 45125,
+            cells_scanned: 21375,
             peak_queue_len: 207,
         },
         Golden {
@@ -545,7 +546,7 @@ fn trace_scenario_matches_golden() {
             seed: 0xBEEF,
             digest: "8304915468f888d99e289d73c6bac38a4fca141f8e40e685eb6e550369f96d01",
             neighbor_queries: 2219,
-            cells_scanned: 42161,
+            cells_scanned: 19971,
             peak_queue_len: 199,
         },
         Golden {
@@ -553,7 +554,7 @@ fn trace_scenario_matches_golden() {
             seed: 42424242,
             digest: "e2739eca843e359b09010c5649e160585daf9b6cc9f1081212fc39bb896c48dc",
             neighbor_queries: 2251,
-            cells_scanned: 42769,
+            cells_scanned: 20259,
             peak_queue_len: 233,
         },
     ];
@@ -568,7 +569,7 @@ fn seam_oscillation_matches_golden() {
             seed: 5,
             digest: "928a1672edd585c83852641fb11de247892b2de19692ef200112a76b4da28381",
             neighbor_queries: 396,
-            cells_scanned: 7524,
+            cells_scanned: 3657,
             peak_queue_len: 33,
         },
         Golden {
@@ -576,7 +577,7 @@ fn seam_oscillation_matches_golden() {
             seed: 0x5EA7,
             digest: "f39704c5185ac4a59eba1c3296f9106c4f0139a680a5f7291005a24ebc06a7f9",
             neighbor_queries: 372,
-            cells_scanned: 7068,
+            cells_scanned: 3447,
             peak_queue_len: 33,
         },
     ];
@@ -591,7 +592,7 @@ fn standard_churn_matches_golden() {
         seed,
         digest: "f80971da1dbfdd85ed56a1382a53fa5bc90985291f0e97176a9922a43235c43d",
         neighbor_queries: 5496,
-        cells_scanned: 104424,
+        cells_scanned: 49464,
         peak_queue_len: 1530,
     }];
     check("island churn", &golden, |_, engine| run_churn(engine));
@@ -605,7 +606,7 @@ fn lossy_grid_churn_matches_golden() {
             seed: GRID_SEED,
             digest: "c4396251e557d966342dd73b391d0b0752be13f62f651d3bf76080f28d37d419",
             neighbor_queries: 228,
-            cells_scanned: 4332,
+            cells_scanned: 2071,
             peak_queue_len: 56,
         },
         Golden {
@@ -613,7 +614,7 @@ fn lossy_grid_churn_matches_golden() {
             seed: GRID_SEED,
             digest: "30a6b22b5d5cb22d455dca5b2d9fac305527fbc030472e2db5ede065f4e91075",
             neighbor_queries: 237,
-            cells_scanned: 4503,
+            cells_scanned: 2152,
             peak_queue_len: 56,
         },
         Golden {
@@ -621,7 +622,7 @@ fn lossy_grid_churn_matches_golden() {
             seed: GRID_SEED,
             digest: "770cb7b93c3b853b29b4b3ecf470081a2dc7876c0f67dc81452d26e26dc31da9",
             neighbor_queries: 237,
-            cells_scanned: 4503,
+            cells_scanned: 2152,
             peak_queue_len: 56,
         },
     ];
