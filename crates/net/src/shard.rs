@@ -1,7 +1,8 @@
 //! Spatially-sharded parallel execution of the simulator.
 //!
 //! [`ShardedSimulator`] partitions the square grid cells of the plane
-//! (the spatial index's own, one radio range across) across [`SimConfig::shards`] engine cores — each with its **own**
+//! (the spatial index's own, one radio range across) across
+//! [`SimConfig::shards`] engine cores — each with its **own**
 //! scheduler, per-node RNG streams, and [`Metrics`] — and runs them on
 //! scoped worker threads under **conservative-lookahead
 //! synchronization**: the radio propagation delay

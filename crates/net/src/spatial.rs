@@ -20,10 +20,11 @@
 //!   distance filter — the scan degenerates back toward O(n).
 //! * `s = R` balances the two: a radio-range query reads 3×3 = 9 cells
 //!   covering 9R², so the candidate set is about 9/π ≈ 2.9× the true
-//!   in-range population, independent of swarm size. (The hex cell
-//!   cover this index used before read 19 cells, about 4.6×.) This is
-//!   the one scale the simulator uses: its topology builds the index
-//!   with cells one radio range across.
+//!   in-range population, independent of swarm size. (A cover of the
+//!   paper's hexagonal lattice cells at the same scale reads 19 cells,
+//!   about 4.6×, and costs a snap plus a lattice-point scan to build.)
+//!   This is the one scale the simulator uses: its topology builds the
+//!   index with cells one radio range across.
 //!
 //! Queries return candidate ids in ascending order and leave the exact
 //! distance filter to the caller, so the simulator sees exactly the

@@ -26,7 +26,7 @@ pub(crate) fn distance(a: (f64, f64), b: (f64, f64)) -> f64 {
 /// serves many readers allocation-free.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TopoScratch {
-    /// Candidate ids of the in-flight range query.
+    /// Candidate ids of the in-flight range or k-nearest query.
     cand: Vec<u32>,
     /// Index-side buffers (k-NN ranking).
     spatial: SpatialScratch,
