@@ -1,13 +1,21 @@
 //! Criterion version of Table IV: basic symmetric operations.
 //!
 //! The `/table` rows time the T-table AES backend next to the default
-//! S-box oracle, and `/midstate` times profile-key completion from a
-//! cached SHA-256 midstate (see `docs/CRYPTO.md`).
+//! S-box oracle, `/midstate` times profile-key completion from a
+//! cached SHA-256 midstate, and `/fixed` times the fixed-width
+//! Goldilocks-448 multiply next to the `BigUint` one (see
+//! `docs/CRYPTO.md`). The `hint_solve` rows time the responder's
+//! per-assignment solve at γ = β = 3 with three unknowns.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use msb_bignum::goldilocks::Fe448;
 use msb_bignum::{BigUint, PrimeField};
 use msb_crypto::aes::{Aes256, BlockCipher, CipherBackend};
 use msb_crypto::sha256::Sha256;
+use msb_profile::hint::{HintConstruction, HintMatrix};
+use msb_profile::{Attribute, ProfileVector};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn bench_table4(c: &mut Criterion) {
@@ -83,8 +91,33 @@ fn bench_table4(c: &mut Criterion) {
     group.bench_function("multiply_256_field", |b| {
         b.iter(|| black_box(field.mul(black_box(&a), black_box(&bb))))
     });
+    let (fa, fb) =
+        (Fe448::from_biguint(&a).expect("reduced"), Fe448::from_biguint(&bb).expect("reduced"));
+    group.bench_function("multiply_256_field/fixed", |b| {
+        b.iter(|| black_box(black_box(&fa).mul(black_box(&fb))))
+    });
     group
         .bench_function("compare_256", |b| b.iter(|| black_box(black_box(&a).cmp(black_box(&bb)))));
+
+    // `/cauchy` reads the process-wide pattern memo (warm after the first
+    // iteration); `/random` solves on a freshly built Random matrix every
+    // iteration, so it also times the cold pattern build.
+    let attrs: Vec<Attribute> = (0..6).map(|i| Attribute::new("tag", format!("t{i}"))).collect();
+    let optional = ProfileVector::from_hashes(attrs.iter().map(|a| a.hash())).hashes().to_vec();
+    let assignment: Vec<Option<_>> =
+        optional.iter().enumerate().map(|(i, h)| (i < 3).then_some(*h)).collect();
+    let cauchy =
+        HintMatrix::generate(&optional, 3, HintConstruction::Cauchy, &mut StdRng::seed_from_u64(6));
+    group.bench_function("hint_solve/cauchy", |b| {
+        b.iter(|| black_box(cauchy.solve(black_box(&assignment))))
+    });
+    group.bench_function("hint_solve/random", |b| {
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(6);
+            let hint = HintMatrix::generate(&optional, 3, HintConstruction::Random, &mut rng);
+            black_box(hint.solve(black_box(&assignment)))
+        })
+    });
     group.finish();
 }
 

@@ -56,8 +56,8 @@ fn main() {
         "\nReading: the Cauchy block is a public deterministic function of\n\
          (γ, β), so it never crosses the wire — γ·β fewer field elements per\n\
          package — and makes the paper's unique-solvability claim\n\
-         unconditional instead of probabilistic. Generation is slower (γ·β\n\
-         field inversions); for the paper's γ = β = 3 both are far below a\n\
-         millisecond."
+         unconditional instead of probabilistic. The block costs γ·β field\n\
+         inversions once per (γ, β) per process; later generations and every\n\
+         warm solve run in fixed-width arithmetic, far below a millisecond."
     );
 }

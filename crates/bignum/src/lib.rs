@@ -20,7 +20,11 @@
 //! * [`prime`] — Miller–Rabin testing and random prime generation.
 //! * [`field`] — prime-field arithmetic ([`field::PrimeField`]) including
 //!   the Goldilocks-448 field used by the hint matrix.
-//! * [`linalg`] — matrices and Gaussian elimination over a prime field.
+//! * [`goldilocks`] — [`goldilocks::Fe448`], a heap-free fixed-width
+//!   Goldilocks-448 element (seven `u64` limbs) that runs the hint
+//!   matrix's per-assignment solve; `PrimeField` is its oracle.
+//! * [`linalg`] — matrices and Gaussian elimination over a prime field,
+//!   including the left inverse the hint matrix precomputes per pattern.
 //!
 //! # Example
 //!
@@ -39,6 +43,7 @@
 
 pub mod biguint;
 pub mod field;
+pub mod goldilocks;
 pub mod linalg;
 pub mod modexp;
 pub mod prime;

@@ -151,26 +151,6 @@ impl Matrix {
             .collect()
     }
 
-    /// Matrix–matrix product over `field`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions differ.
-    pub fn mul_mat(&self, field: &PrimeField, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            for c in 0..other.cols {
-                let mut acc = BigUint::zero();
-                for k in 0..self.cols {
-                    acc = field.add(&acc, &field.mul(self.at(r, k), other.at(k, c)));
-                }
-                *out.at_mut(r, c) = acc;
-            }
-        }
-        out
-    }
-
     /// Solves `self · x = b` by Gaussian elimination with partial pivoting
     /// (pivot = first nonzero). Accepts overdetermined systems
     /// (`rows >= cols`): redundant consistent rows are fine; any
@@ -244,6 +224,66 @@ impl Matrix {
             x[col] = acc;
         }
         Ok(x)
+    }
+
+    /// Solves `self · x = b` for every `b` at once: one Gauss–Jordan
+    /// elimination of `[self | I]` (pivot = first nonzero, as in
+    /// [`Matrix::solve`]) returns `(L, N)`.
+    ///
+    /// * `L` (`cols × rows`) is a left inverse: `L · self = I`.
+    /// * `N` (`(rows − cols) × rows`) spans the vectors `y` with
+    ///   `y · self = 0`.
+    ///
+    /// So `self · x = b` is consistent exactly when `N · b = 0`, and its
+    /// unique solution is then `L · b`: what [`Matrix::solve`] returns
+    /// for that `b`, without another inversion.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::Underdetermined`] if `rows < cols` or the matrix is
+    /// rank deficient: exactly when [`Matrix::solve`] reports it, for any
+    /// right-hand side.
+    pub fn left_inverse(&self, field: &PrimeField) -> Result<(Matrix, Matrix), SolveError> {
+        let (rows, cols) = (self.rows, self.cols);
+        if rows < cols {
+            return Err(SolveError::Underdetermined);
+        }
+        let mut a = self.hconcat(&Matrix::identity(rows));
+        for col in 0..cols {
+            let p = (col..rows)
+                .find(|&r| !a.at(r, col).is_zero())
+                .ok_or(SolveError::Underdetermined)?;
+            a.swap_rows(p, col);
+            let inv = field.inv(a.at(col, col)).expect("pivot is nonzero in a prime field");
+            for c in col..a.cols {
+                *a.at_mut(col, c) = field.mul(a.at(col, c), &inv);
+            }
+            for r in (0..rows).filter(|&r| r != col) {
+                if a.at(r, col).is_zero() {
+                    continue;
+                }
+                let factor = a.at(r, col).clone();
+                for c in col..a.cols {
+                    let delta = field.mul(&factor, a.at(col, c));
+                    *a.at_mut(r, c) = field.sub(a.at(r, c), &delta);
+                }
+            }
+        }
+        // The left block is now [I; 0], so the right block E satisfies
+        // E · self = [I; 0]: its top rows are L, the rest N.
+        let mut l = Matrix::zeros(cols, rows);
+        let mut n = Matrix::zeros(rows - cols, rows);
+        for r in 0..rows {
+            for c in 0..rows {
+                let v = a.at(r, cols + c).clone();
+                if r < cols {
+                    *l.at_mut(r, c) = v;
+                } else {
+                    *n.at_mut(r - cols, c) = v;
+                }
+            }
+        }
+        Ok((l, n))
     }
 
     fn swap_rows(&mut self, r1: usize, r2: usize) {
@@ -354,10 +394,31 @@ mod tests {
     }
 
     #[test]
-    fn mul_mat_identity() {
+    fn left_inverse_solves_and_checks() {
         let f = f97();
-        let a = mat(&[&[1, 2], &[3, 4]]);
-        assert_eq!(a.mul_mat(&f, &Matrix::identity(2)), a);
+        // Third row = row0 + row1: one consistency row.
+        let a = mat(&[&[0, 1], &[1, 0], &[1, 1]]);
+        let (l, n) = a.left_inverse(&f).unwrap();
+        assert_eq!((l.rows(), l.cols(), n.rows(), n.cols()), (2, 3, 1, 3));
+        for b in [vec![big(3), big(4), big(7)], vec![big(3), big(4), big(8)]] {
+            let consistent = n.mul_vec(&f, &b).iter().all(BigUint::is_zero);
+            match a.solve(&f, &b) {
+                Ok(x) => assert!(consistent && l.mul_vec(&f, &b) == x),
+                Err(e) => assert!(!consistent && e == SolveError::Inconsistent),
+            }
+        }
+        // Square: no consistency rows.
+        let (_, n) = mat(&[&[2, 1], &[1, 3]]).left_inverse(&f).unwrap();
+        assert_eq!(n.rows(), 0);
+    }
+
+    #[test]
+    fn left_inverse_rank_deficiency_matches_solve() {
+        let f = f97();
+        for a in [mat(&[&[1, 2], &[2, 4]]), mat(&[&[1, 2, 3]]), mat(&[&[0], &[0]])] {
+            assert_eq!(a.left_inverse(&f).unwrap_err(), SolveError::Underdetermined);
+            assert_eq!(a.solve(&f, &vec![big(0); a.rows()]), Err(SolveError::Underdetermined));
+        }
     }
 
     #[test]

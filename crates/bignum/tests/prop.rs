@@ -1,12 +1,46 @@
 //! Property-based tests for the bignum substrate.
 
+use msb_bignum::goldilocks::{Fe448, FE448_BYTES};
 use msb_bignum::linalg::{cauchy_matrix, Matrix};
 use msb_bignum::modexp::{mod_pow, Montgomery};
 use msb_bignum::{BigUint, PrimeField};
 use proptest::prelude::*;
+use rand::SeedableRng;
 
 fn big_bytes() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..48)
+}
+
+fn pow2(bits: usize) -> BigUint {
+    BigUint::one().shl_bits(bits)
+}
+
+/// Edge kinds of a Goldilocks-448 element (the last kind is uniform).
+const FE_KINDS: usize = 14;
+
+/// A field element of the given kind: 0, 1, p − 2, p − 1, values around
+/// 2²²⁴ and 2²⁵⁶, the top of the 448-bit range below p, or uniform.
+fn fe_value(kind: usize, rng: &mut rand::rngs::StdRng) -> BigUint {
+    let f = PrimeField::goldilocks448();
+    let p = f.modulus();
+    let below = |v: &BigUint, d: u64| v.checked_sub(&BigUint::from(d)).expect("large");
+    let above = |v: &BigUint, d: u64| v + &BigUint::from(d);
+    match kind {
+        0 => BigUint::zero(),
+        1 => BigUint::one(),
+        2 => below(p, 2),
+        3 => below(p, 1),
+        4 => below(&pow2(224), 1),
+        5 => pow2(224),
+        6 => above(&pow2(224), 1),
+        7 => below(&pow2(256), 1),
+        8 => pow2(256),
+        9 => above(&pow2(256), 1),
+        10 => below(p, 1u64 << 63),
+        11 => p.checked_sub(&pow2(224)).expect("p > 2^224"),
+        12 => f.random(rng).shr_bits(192), // a random 256-bit value
+        _ => f.random(rng),
+    }
 }
 
 proptest! {
@@ -158,4 +192,46 @@ proptest! {
             prop_assert_eq!(&solved[k], &secret[col]);
         }
     }
+
+    /// Every pair of edge kinds, with fresh uniform draws per case.
+    #[test]
+    fn fe448_matches_prime_field(seed in any::<u64>()) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let f = PrimeField::goldilocks448();
+        for ka in 0..FE_KINDS {
+            for kb in 0..FE_KINDS {
+                let (a, b) = (fe_value(ka, &mut rng), fe_value(kb, &mut rng));
+                let (fa, fb) = (Fe448::from_biguint(&a).unwrap(), Fe448::from_biguint(&b).unwrap());
+                prop_assert_eq!(fa.add(&fb).to_biguint(), f.add(&a, &b), "{:?} + {:?}", a, b);
+                prop_assert_eq!(fa.sub(&fb).to_biguint(), f.sub(&a, &b), "{:?} - {:?}", a, b);
+                prop_assert_eq!(fa.mul(&fb).to_biguint(), f.mul(&a, &b), "{:?} * {:?}", a, b);
+            }
+            // Encodings agree with the oracle's and round-trip.
+            let a = fe_value(ka, &mut rng);
+            let fa = Fe448::from_biguint(&a).unwrap();
+            let bytes = fa.to_be_bytes();
+            prop_assert_eq!(bytes.to_vec(), a.to_be_bytes_padded(FE448_BYTES));
+            prop_assert_eq!(Fe448::from_be_bytes(&bytes), Some(fa));
+            match fa.to_hash() {
+                Some(h) => {
+                    prop_assert!(a.bit_len() <= 256);
+                    prop_assert_eq!(Fe448::from_hash(&h), fa);
+                }
+                None => prop_assert!(a.bit_len() > 256),
+            }
+        }
+    }
+}
+
+#[test]
+fn fe448_decode_rejects_non_canonical() {
+    let p = PrimeField::goldilocks448().modulus().clone();
+    for v in [p.clone(), &p + &BigUint::one(), pow2(448).checked_sub(&BigUint::one()).unwrap()] {
+        let bytes: [u8; FE448_BYTES] = v.to_be_bytes_padded(FE448_BYTES).try_into().unwrap();
+        assert_eq!(Fe448::from_be_bytes(&bytes), None, "{v:?}");
+        assert_eq!(Fe448::from_biguint(&v), None, "{v:?}");
+    }
+    let pm1 = p.checked_sub(&BigUint::one()).unwrap();
+    let bytes: [u8; FE448_BYTES] = pm1.to_be_bytes_padded(FE448_BYTES).try_into().unwrap();
+    assert_eq!(Fe448::from_be_bytes(&bytes).map(|v| v.to_biguint()), Some(pm1));
 }

@@ -20,11 +20,33 @@
 //! Because the Cauchy block is a public deterministic function of (γ, β),
 //! it need not be transmitted: the wire format is just `B` (γ elements),
 //! *smaller* than the paper's `32γ(γ+β) + 256γ`-bit estimate.
+//!
+//! ## Solving from per-pattern left inverses
+//!
+//! A candidate solves `C_U · x_U = B − C_K · x_K`, where `U` is the set of
+//! unknown positions. `C_U` depends only on the public shape and on `U`,
+//! so the algebra is built once per pattern:
+//! [`Matrix::left_inverse`] returns a left inverse `L_U` and consistency
+//! rows `N_U`, and each solve is two small matrix–vector products in
+//! fixed-width [`Fe448`] arithmetic: the system is consistent iff
+//! `N_U · rhs = 0`, and then `x_U = L_U · rhs`. This returns exactly what
+//! Gaussian elimination returns, without an inversion per solve.
+//!
+//! Patterns are memoized under a fixed byte budget: a Random matrix's in
+//! its own memo, every Cauchy shape's (and the Cauchy blocks themselves,
+//! one per (γ, β)) in one process-wide memo. An insert that would pass
+//! the budget clears the memo first, so a hostile shape costs at most a
+//! rebuild and never locks the common shapes out.
 
 use crate::attribute::AttributeHash;
-use msb_bignum::linalg::{cauchy_matrix, Matrix, SolveError};
+use msb_bignum::goldilocks::Fe448;
+use msb_bignum::linalg::{cauchy_matrix, Matrix};
 use msb_bignum::{BigUint, PrimeField};
 use rand::Rng;
+use std::collections::HashMap;
+use std::fmt;
+use std::mem::size_of_val;
+use std::sync::{Arc, LazyLock, RwLock};
 
 /// How the random block `R` of `C = [I | R]` is generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,15 +61,145 @@ pub enum HintConstruction {
 }
 
 /// The hint matrix `M = [C, B]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct HintMatrix {
+    shape: Arc<Shape>,
+    /// `B = C · h_opt`, γ field elements.
+    b: Vec<Fe448>,
+}
+
+/// The public part of `C = [I | R]` and where its solved patterns live.
+struct Shape {
     gamma: usize,
     beta: usize,
     construction: HintConstruction,
-    /// The full constraint matrix `C = [I | R]`, γ × (γ+β).
-    c: Matrix,
-    /// `B = C · h_opt`, γ field elements.
-    b: Vec<BigUint>,
+    /// `R`, γ×β, row-major.
+    r: Arc<[Fe448]>,
+    /// A Random shape's own pattern memo; Cauchy patterns live in
+    /// [`CAUCHY`].
+    own: Option<Memo>,
+}
+
+/// Byte budget of each memo: the process-wide [`CAUCHY`] one and each
+/// Random matrix's own. Patterns of the paper's γ = β = 3 take ~22 KB;
+/// the largest wire shape's Cauchy block (256 × 256) fits on its own.
+const MEMO_BUDGET_BYTES: usize = 4 << 20;
+
+/// What an entry costs beyond its elements and key: map slot and `Arc`
+/// header.
+const ENTRY_OVERHEAD_BYTES: usize = 64;
+
+/// Cauchy blocks, keyed `[γ, β]`, and Cauchy patterns, keyed
+/// `[γ, β, unknown positions…]`.
+static CAUCHY: LazyLock<Memo> = LazyLock::new(Memo::default);
+
+/// A memo from keys to tables of field elements, held under
+/// [`MEMO_BUDGET_BYTES`].
+///
+/// A pattern's table is γ×γ, row-major: the |U| rows of `L_U` over the
+/// γ − |U| rows of `N_U`; it is empty when `C_U` is rank deficient.
+#[derive(Default)]
+struct Memo {
+    state: RwLock<MemoState>,
+}
+
+#[derive(Default)]
+struct MemoState {
+    bytes: usize,
+    map: HashMap<Box<[usize]>, Arc<[Fe448]>>,
+}
+
+impl Memo {
+    /// The table under `key`, built by `build` on a miss. No lock is held
+    /// while `build` runs, so two threads may build one table; they build
+    /// equal tables and the memo keeps one.
+    fn get_or_build(&self, key: &[usize], build: impl FnOnce() -> Vec<Fe448>) -> Arc<[Fe448]> {
+        if let Some(table) = self.state.read().expect("memo writer panicked").map.get(key) {
+            return Arc::clone(table);
+        }
+        let table: Arc<[Fe448]> = build().into();
+        let cost = ENTRY_OVERHEAD_BYTES + size_of_val(key) + size_of_val(&*table);
+        if cost <= MEMO_BUDGET_BYTES {
+            let mut state = self.state.write().expect("memo writer panicked");
+            if !state.map.contains_key(key) {
+                if state.bytes + cost > MEMO_BUDGET_BYTES {
+                    state.map.clear();
+                    state.bytes = 0;
+                }
+                state.bytes += cost;
+                state.map.insert(key.into(), Arc::clone(&table));
+            }
+        }
+        table
+    }
+
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        self.state.read().expect("memo writer panicked").bytes
+    }
+}
+
+impl Shape {
+    /// The Cauchy shape of (γ, β), its block built once per process (while
+    /// the memo keeps it).
+    fn cauchy(gamma: usize, beta: usize) -> Shape {
+        let r = CAUCHY.get_or_build(&[gamma, beta], || {
+            let m = cauchy_matrix(&PrimeField::goldilocks448(), gamma, beta);
+            (0..gamma)
+                .flat_map(|i| (0..beta).map(move |j| (i, j)))
+                .map(|(i, j)| fe(m.at(i, j)))
+                .collect()
+        });
+        Shape { gamma, beta, construction: HintConstruction::Cauchy, r, own: None }
+    }
+
+    fn random(gamma: usize, beta: usize, r: Vec<Fe448>) -> Shape {
+        assert_eq!(r.len(), gamma * beta, "R must be gamma x beta");
+        Shape {
+            gamma,
+            beta,
+            construction: HintConstruction::Random,
+            r: r.into(),
+            own: Some(Memo::default()),
+        }
+    }
+
+    fn memo(&self) -> &Memo {
+        self.own.as_ref().unwrap_or(&CAUCHY)
+    }
+
+    /// Entry `(i, j)` of `C = [I | R]`.
+    fn c(&self, i: usize, j: usize) -> BigUint {
+        if j < self.gamma {
+            BigUint::from(u64::from(i == j))
+        } else {
+            self.r[i * self.beta + j - self.gamma].to_biguint()
+        }
+    }
+
+    /// The memo table of the pattern with these (ascending) unknown
+    /// positions: one elimination of `[C_U | I]`.
+    fn pattern(&self, unknowns: &[usize]) -> Vec<Fe448> {
+        let mut c_u = Matrix::zeros(self.gamma, unknowns.len());
+        for (k, &j) in unknowns.iter().enumerate() {
+            for i in 0..self.gamma {
+                *c_u.at_mut(i, k) = self.c(i, j);
+            }
+        }
+        let Ok((l, n)) = c_u.left_inverse(&PrimeField::goldilocks448()) else {
+            return Vec::new();
+        };
+        [l, n]
+            .iter()
+            .flat_map(|m| (0..m.rows()).flat_map(move |i| (0..m.cols()).map(move |j| m.at(i, j))))
+            .map(fe)
+            .collect()
+    }
+}
+
+/// A reduced Goldilocks-448 [`BigUint`] as an element.
+fn fe(v: &BigUint) -> Fe448 {
+    Fe448::from_biguint(v).expect("hint elements are canonical Goldilocks-448 values")
 }
 
 impl HintMatrix {
@@ -69,23 +221,24 @@ impl HintMatrix {
         assert!(beta <= optional.len(), "beta exceeds optional count");
         let gamma = optional.len() - beta;
         assert!(gamma > 0, "perfect-match requests need no hint matrix");
-        let field = PrimeField::goldilocks448();
-        let r_block = match construction {
-            HintConstruction::Cauchy => cauchy_matrix(&field, gamma, beta),
+        let shape = match construction {
+            HintConstruction::Cauchy => Shape::cauchy(gamma, beta),
             HintConstruction::Random => {
-                let mut m = Matrix::zeros(gamma, beta);
-                for i in 0..gamma {
-                    for j in 0..beta {
-                        *m.at_mut(i, j) = field.random_nonzero(rng);
-                    }
-                }
-                m
+                // Drawn row-major through the oracle field, so seeded
+                // requests keep their bytes.
+                let field = PrimeField::goldilocks448();
+                let r = (0..gamma * beta).map(|_| fe(&field.random_nonzero(rng))).collect();
+                Shape::random(gamma, beta, r)
             }
         };
-        let c = Matrix::identity(gamma).hconcat(&r_block);
-        let h_opt: Vec<BigUint> = optional.iter().map(|h| h.to_biguint()).collect();
-        let b = c.mul_vec(&field, &h_opt);
-        HintMatrix { gamma, beta, construction, c, b }
+        let h: Vec<Fe448> = optional.iter().map(|h| Fe448::from_hash(h.as_bytes())).collect();
+        // B = C · h = h_I + R · h_R.
+        let b = (0..gamma)
+            .map(|i| {
+                (0..beta).fold(h[i], |acc, j| acc.add(&shape.r[i * beta + j].mul(&h[gamma + j])))
+            })
+            .collect();
+        HintMatrix { shape: Arc::new(shape), b }
     }
 
     /// Reassembles a hint matrix from wire parts.
@@ -96,56 +249,71 @@ impl HintMatrix {
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatches or a missing/superfluous `r_block`.
+    /// Panics on dimension mismatches, a missing/superfluous `r_block`,
+    /// or an element at or above the Goldilocks-448 modulus.
     pub fn from_parts(
         beta: usize,
         construction: HintConstruction,
         r_block: Option<Matrix>,
         b: Vec<BigUint>,
     ) -> Self {
+        let r = r_block.map(|r| {
+            assert_eq!(r.rows(), b.len(), "R row count mismatch");
+            assert_eq!(r.cols(), beta, "R column count mismatch");
+            (0..r.rows())
+                .flat_map(|i| (0..beta).map(move |j| (i, j)))
+                .map(|(i, j)| fe(r.at(i, j)))
+                .collect()
+        });
+        Self::from_elements(beta, construction, r, b.iter().map(fe).collect())
+    }
+
+    /// [`HintMatrix::from_parts`] on decoded elements: `r` is `R`
+    /// row-major, present exactly for the Random construction.
+    pub(crate) fn from_elements(
+        beta: usize,
+        construction: HintConstruction,
+        r: Option<Vec<Fe448>>,
+        b: Vec<Fe448>,
+    ) -> Self {
         let gamma = b.len();
         assert!(gamma > 0, "hint matrix requires gamma > 0");
-        let field = PrimeField::goldilocks448();
-        let r = match construction {
+        let shape = match construction {
             HintConstruction::Cauchy => {
-                assert!(r_block.is_none(), "Cauchy block is never transmitted");
-                cauchy_matrix(&field, gamma, beta)
+                assert!(r.is_none(), "Cauchy block is never transmitted");
+                Shape::cauchy(gamma, beta)
             }
             HintConstruction::Random => {
-                let r = r_block.expect("random construction requires the R block");
-                assert_eq!(r.rows(), gamma, "R row count mismatch");
-                assert_eq!(r.cols(), beta, "R column count mismatch");
-                r
+                Shape::random(gamma, beta, r.expect("random construction requires the R block"))
             }
         };
-        let c = Matrix::identity(gamma).hconcat(&r);
-        HintMatrix { gamma, beta, construction, c, b }
+        HintMatrix { shape: Arc::new(shape), b }
     }
 
     /// Number of tolerated unknowns γ.
     pub fn gamma(&self) -> usize {
-        self.gamma
+        self.shape.gamma
     }
 
     /// Number of required known optional attributes β.
     pub fn beta(&self) -> usize {
-        self.beta
+        self.shape.beta
     }
 
     /// The construction used for the `R` block.
     pub fn construction(&self) -> HintConstruction {
-        self.construction
+        self.shape.construction
     }
 
     /// The published vector `B`.
-    pub fn b(&self) -> &[BigUint] {
+    pub fn b(&self) -> &[Fe448] {
         &self.b
     }
 
-    /// The constraint matrix `C` (public; reconstructible from (γ, β) for
-    /// the Cauchy construction).
-    pub fn constraint_matrix(&self) -> &Matrix {
-        &self.c
+    /// The block `R` of `C = [I | R]`, γ×β row-major (public; rebuilt
+    /// from (γ, β) for the Cauchy construction).
+    pub(crate) fn r_block(&self) -> &[Fe448] {
+        &self.shape.r
     }
 
     /// Completes a partial optional-block assignment.
@@ -166,70 +334,105 @@ impl HintMatrix {
     ///
     /// Panics if `assignment.len() != gamma + beta`.
     pub fn solve(&self, assignment: &[Option<AttributeHash>]) -> Option<Vec<AttributeHash>> {
-        let n = self.gamma + self.beta;
-        assert_eq!(assignment.len(), n, "assignment length mismatch");
-        let field = PrimeField::goldilocks448();
+        let s = &*self.shape;
+        let (gamma, beta) = (s.gamma, s.beta);
+        assert_eq!(assignment.len(), gamma + beta, "assignment length mismatch");
 
-        let unknowns: Vec<usize> = (0..n).filter(|&j| assignment[j].is_none()).collect();
-        if unknowns.len() > self.gamma {
+        // The pattern's memo key: [γ, β, unknown positions…].
+        let mut key = Vec::with_capacity(2 + gamma);
+        key.extend([gamma, beta]);
+        key.extend((0..assignment.len()).filter(|&j| assignment[j].is_none()));
+        let unknowns = key.len() - 2;
+        if unknowns > gamma {
             return None;
         }
 
-        // rhs = B - C_K · x_K
+        // rhs = B − C_K · x_K; an identity column costs one subtraction.
         let mut rhs = self.b.clone();
-        for (j, slot) in assignment.iter().enumerate() {
-            if let Some(h) = slot {
-                let hv = field.element(h.to_biguint());
+        for (j, h) in assignment.iter().enumerate() {
+            let Some(h) = h else { continue };
+            let x = Fe448::from_hash(h.as_bytes());
+            if j < gamma {
+                rhs[j] = rhs[j].sub(&x);
+            } else {
                 for (i, r) in rhs.iter_mut().enumerate() {
-                    let delta = field.mul(self.c.at(i, j), &hv);
-                    *r = field.sub(r, &delta);
+                    *r = r.sub(&s.r[i * beta + j - gamma].mul(&x));
                 }
             }
         }
 
-        if unknowns.is_empty() {
+        if unknowns == 0 {
             // Fully known: consistency check doubles as verification.
-            if rhs.iter().all(BigUint::is_zero) {
-                return Some(assignment.iter().map(|s| s.expect("all known")).collect());
-            }
+            return rhs
+                .iter()
+                .all(Fe448::is_zero)
+                .then(|| assignment.iter().flatten().copied().collect());
+        }
+
+        let table = s.memo().get_or_build(&key, || s.pattern(&key[2..]));
+        if table.is_empty() {
+            return None; // C_U is rank deficient
+        }
+        let dot = |row: &[Fe448]| {
+            row.iter().zip(&rhs).fold(Fe448::ZERO, |acc, (a, v)| acc.add(&a.mul(v)))
+        };
+        let (l, n) = table.split_at(unknowns * gamma);
+        if !n.chunks_exact(gamma).all(|row| dot(row).is_zero()) {
             return None;
         }
-
-        let c_u = self.c.select_columns(&unknowns);
-        let solved = match c_u.solve(&field, &rhs) {
-            Ok(x) => x,
-            Err(SolveError::Inconsistent) | Err(SolveError::Underdetermined) => return None,
-        };
-
-        let mut full: Vec<AttributeHash> = Vec::with_capacity(n);
-        let mut it = solved.iter();
-        for slot in assignment {
-            match slot {
-                Some(h) => full.push(*h),
-                None => {
-                    let v = it.next().expect("one solution per unknown");
-                    full.push(AttributeHash::from_biguint(v)?);
-                }
-            }
-        }
-        Some(full)
+        let mut solved = l.chunks_exact(gamma).map(dot);
+        assignment
+            .iter()
+            .map(|slot| match slot {
+                Some(h) => Some(*h),
+                None => solved
+                    .next()
+                    .expect("one row per unknown")
+                    .to_hash()
+                    .map(AttributeHash::from_bytes),
+            })
+            .collect()
     }
 
     /// Serialized size in bits of what actually crosses the wire: `B`
     /// (γ × 448 bits) plus the `R` block for the random construction
     /// (γ·β × 448 bits); the Cauchy block is reconstructed locally.
     pub fn wire_size_bits(&self) -> usize {
-        let b_bits = self.gamma * 448;
-        match self.construction {
+        let b_bits = self.gamma() * 448;
+        match self.construction() {
             HintConstruction::Cauchy => b_bits + 16, // (γ, β) as u8 each
-            HintConstruction::Random => b_bits + self.gamma * self.beta * 448 + 16,
+            HintConstruction::Random => b_bits + self.gamma() * self.beta() * 448 + 16,
         }
     }
 
     /// The paper's accounting of the hint-matrix size
     /// (`32γ(γ+β) + 256γ` bits), reported for Table III comparability.
     pub fn paper_size_bits(&self) -> usize {
-        32 * self.gamma * (self.gamma + self.beta) + 256 * self.gamma
+        32 * self.gamma() * (self.gamma() + self.beta()) + 256 * self.gamma()
+    }
+}
+
+/// Compares (γ, β, construction, B, R); the memo is a cache.
+impl PartialEq for HintMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&*self.shape, &*other.shape);
+        (a.gamma, a.beta, a.construction) == (b.gamma, b.beta, b.construction)
+            && self.b == other.b
+            && a.r == b.r
+    }
+}
+
+impl Eq for HintMatrix {}
+
+impl fmt::Debug for HintMatrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HintMatrix")
+            .field("gamma", &self.gamma())
+            .field("beta", &self.beta())
+            .field("construction", &self.construction())
+            .field("b", &self.b)
+            .field("r", &self.shape.r)
+            .finish()
     }
 }
 
@@ -362,5 +565,61 @@ mod tests {
         let opt = hashes(4);
         let hint = HintMatrix::generate(&opt, 3, HintConstruction::Cauchy, &mut rng());
         let _ = hint.solve(&[None]);
+    }
+
+    /// `solve` by elimination over `PrimeField`: the reference the
+    /// memoized solve must match.
+    fn oracle(
+        c: &Matrix,
+        b: &[BigUint],
+        a: &[Option<AttributeHash>],
+    ) -> Option<Vec<AttributeHash>> {
+        let f = PrimeField::goldilocks448();
+        let unknowns: Vec<usize> = (0..a.len()).filter(|&j| a[j].is_none()).collect();
+        let mut rhs = b.to_vec();
+        for (j, h) in a.iter().enumerate().filter_map(|(j, h)| h.map(|h| (j, h))) {
+            for (i, r) in rhs.iter_mut().enumerate() {
+                *r = f.sub(r, &f.mul(c.at(i, j), &h.to_biguint()));
+            }
+        }
+        let mut x = c.select_columns(&unknowns).solve(&f, &rhs).ok()?.into_iter();
+        a.iter().map(|h| h.or_else(|| AttributeHash::from_biguint(&x.next()?))).collect()
+    }
+
+    #[test]
+    fn shape_flood_stays_in_budget_and_keeps_solving() {
+        use msb_wire::{WireDecode, WireEncode};
+        let mut rng = rng();
+        let flood = (1..=24).flat_map(|g| (0..=24).map(move |b| (g, b))).chain([(256, 256)]);
+        for (gamma, beta) in flood {
+            let opt = hashes(gamma + beta);
+            let sent = HintMatrix::generate(&opt, beta, HintConstruction::Cauchy, &mut rng);
+            let hint = HintMatrix::decode_body(&sent.encode_body()).expect("hint decodes");
+            let mut assignment: Vec<Option<AttributeHash>> =
+                opt.iter().copied().map(Some).collect();
+            assert_eq!(hint.solve(&assignment).as_ref(), Some(&opt), "({gamma}, {beta}) verify");
+            assignment[gamma + beta - 1] = None;
+            assert_eq!(hint.solve(&assignment).as_ref(), Some(&opt), "({gamma}, {beta}) solve");
+            assert!(CAUCHY.bytes() <= MEMO_BUDGET_BYTES, "({gamma}, {beta}) passed the budget");
+        }
+        // The paper's shape still solves as elimination does, for every
+        // pattern, on true and on wrong known values.
+        let opt = hashes(6);
+        let hint = HintMatrix::generate(&opt, 3, HintConstruction::Cauchy, &mut rng);
+        let f = PrimeField::goldilocks448();
+        let c = Matrix::identity(3).hconcat(&cauchy_matrix(&f, 3, 3));
+        let b: Vec<BigUint> = hint.b().iter().map(Fe448::to_biguint).collect();
+        let wrong = Attribute::new("interest", "imposter").hash();
+        for mask in 0u32..(1 << 6) {
+            let mut a: Vec<Option<AttributeHash>> =
+                (0..6).map(|j| (mask >> j & 1 == 0).then_some(opt[j])).collect();
+            if mask.count_ones() <= 3 {
+                assert_eq!(hint.solve(&a), oracle(&c, &b, &a), "mask {mask:06b}");
+                if let Some(slot) = a.iter_mut().flatten().next() {
+                    *slot = wrong;
+                }
+                assert_eq!(hint.solve(&a), oracle(&c, &b, &a), "mask {mask:06b}, wrong value");
+            }
+        }
     }
 }

@@ -27,23 +27,25 @@
 
 use crate::hint::{HintConstruction, HintMatrix};
 use crate::remainder::RemainderVector;
-use msb_bignum::linalg::Matrix;
-use msb_bignum::{BigUint, PrimeField};
+use msb_bignum::goldilocks::{Fe448, FE448_BYTES};
 use msb_wire::{DecodeError, Reader, WireDecode, WireEncode, Writer};
 
 /// Field-element width on the wire (Goldilocks-448 → 56 bytes).
-pub const FIELD_BYTES: usize = 56;
+pub const FIELD_BYTES: usize = FE448_BYTES;
 
 /// Maximum hint dimension (γ and β each) the wire format accepts.
 ///
-/// A decoded hint triggers derived work the wire bytes do not pay for —
-/// the Cauchy construction rebuilds `R` with γ·β field inversions and
-/// `C = [I | R]` allocates a γ×(γ+β) matrix — so the decoder bounds
-/// both dimensions *before* reading elements or constructing anything.
-/// 256 is ~2× the largest attribute count in the evaluation dataset
-/// (129 keywords) and keeps the worst-case reconstruction in the tens
-/// of milliseconds; encoding asserts the same bound so an encodable
-/// hint is always decodable.
+/// A decoded hint triggers derived work the wire bytes do not pay for:
+/// the Cauchy construction needs `R`, γ·β field inversions, and each
+/// solve needs its unknown pattern's left inverse. The receiver builds
+/// the Cauchy block once per (γ, β) per process and each pattern once,
+/// memoized under a fixed byte budget (`hint.rs`); a shape the memo
+/// cannot keep costs a rebuild per use, never a lockout. The decoder
+/// bounds both dimensions *before* reading elements or constructing
+/// anything. 256 is ~2× the largest attribute count in the evaluation
+/// dataset (129 keywords) and keeps the worst-case block build in the
+/// tens of milliseconds; encoding asserts the same bound so an
+/// encodable hint is always decodable.
 pub const MAX_HINT_DIM: usize = 256;
 
 impl WireEncode for RemainderVector {
@@ -120,17 +122,10 @@ impl WireDecode for RemainderVector {
 }
 
 /// Reads one canonical Goldilocks-448 field element.
-fn field_element(
-    r: &mut Reader<'_>,
-    field: &PrimeField,
-    what: &'static str,
-) -> Result<BigUint, DecodeError> {
+fn field_element(r: &mut Reader<'_>, what: &'static str) -> Result<Fe448, DecodeError> {
     let at = r.offset();
-    let v = BigUint::from_be_bytes(r.take(FIELD_BYTES)?);
-    if v >= *field.modulus() {
-        return Err(r.invalid(at, what));
-    }
-    Ok(v)
+    let bytes = r.take(FIELD_BYTES)?.try_into().expect("took FIELD_BYTES bytes");
+    Fe448::from_be_bytes(bytes).ok_or_else(|| r.invalid(at, what))
 }
 
 impl WireEncode for HintMatrix {
@@ -160,14 +155,11 @@ impl WireEncode for HintMatrix {
         w.u16(self.gamma() as u16);
         w.u16(self.beta() as u16);
         for b in self.b() {
-            w.bytes(&b.to_be_bytes_padded(FIELD_BYTES));
+            w.bytes(&b.to_be_bytes());
         }
         if self.construction() == HintConstruction::Random {
-            let c = self.constraint_matrix();
-            for i in 0..self.gamma() {
-                for j in 0..self.beta() {
-                    w.bytes(&c.at(i, self.gamma() + j).to_be_bytes_padded(FIELD_BYTES));
-                }
+            for e in self.r_block() {
+                w.bytes(&e.to_be_bytes());
             }
         }
     }
@@ -213,26 +205,17 @@ fn decode_hint(
             return Err(r.invalid(dims_at, "hint shape disagrees with remainder vector"));
         }
     }
-    let field = PrimeField::goldilocks448();
-    let mut b = Vec::with_capacity(gamma);
-    for _ in 0..gamma {
-        b.push(field_element(r, &field, "non-canonical field element in B")?);
-    }
+    let mut read = |n: usize, what| -> Result<Vec<Fe448>, DecodeError> {
+        (0..n).map(|_| field_element(r, what)).collect()
+    };
+    let b = read(gamma, "non-canonical field element in B")?;
     let r_block = match construction {
         HintConstruction::Cauchy => None,
-        HintConstruction::Random => {
-            let mut m = Matrix::zeros(gamma, beta);
-            for i in 0..gamma {
-                for j in 0..beta {
-                    *m.at_mut(i, j) = field_element(r, &field, "non-canonical field element in R")?;
-                }
-            }
-            Some(m)
-        }
+        HintConstruction::Random => Some(read(gamma * beta, "non-canonical field element in R")?),
     };
-    // `from_parts` preconditions (gamma > 0, R dimensions, Cauchy
+    // `from_elements` preconditions (gamma > 0, R length, Cauchy
     // without R) all hold by construction here.
-    Ok(HintMatrix::from_parts(beta, construction, r_block, b))
+    Ok(HintMatrix::from_elements(beta, construction, r_block, b))
 }
 
 impl WireDecode for HintMatrix {

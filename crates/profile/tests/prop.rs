@@ -1,7 +1,9 @@
 //! Property-based tests for the profile machinery: enumeration-mode
 //! containment, remainder soundness, entropy monotonicity.
 
-use msb_profile::attribute::Attribute;
+use msb_bignum::linalg::{cauchy_matrix, Matrix};
+use msb_bignum::{BigUint, PrimeField};
+use msb_profile::attribute::{Attribute, AttributeHash};
 use msb_profile::entropy::EntropyModel;
 use msb_profile::hint::{HintConstruction, HintMatrix};
 use msb_profile::matching::parallel::{
@@ -20,6 +22,44 @@ use rand::SeedableRng;
 
 fn attrs(prefix: &str, n: usize) -> Vec<Attribute> {
     (0..n).map(|i| Attribute::new(prefix, format!("v{i}"))).collect()
+}
+
+/// `HintMatrix::solve` rebuilt from public parts: restrict `C` to the
+/// unknown columns and run `Matrix::solve` over `PrimeField`.
+fn oracle_solve(
+    c: &Matrix,
+    b: &[BigUint],
+    assignment: &[Option<AttributeHash>],
+) -> Option<Vec<AttributeHash>> {
+    let f = PrimeField::goldilocks448();
+    let gamma = c.rows();
+    let unknowns: Vec<usize> = (0..assignment.len()).filter(|&j| assignment[j].is_none()).collect();
+    if unknowns.len() > gamma {
+        return None;
+    }
+    let mut rhs = b.to_vec();
+    for (j, h) in assignment.iter().enumerate() {
+        if let Some(h) = h {
+            for (i, r) in rhs.iter_mut().enumerate() {
+                *r = f.sub(r, &f.mul(c.at(i, j), &h.to_biguint()));
+            }
+        }
+    }
+    if unknowns.is_empty() {
+        return rhs
+            .iter()
+            .all(BigUint::is_zero)
+            .then(|| assignment.iter().flatten().copied().collect());
+    }
+    let x = c.select_columns(&unknowns).solve(&f, &rhs).ok()?;
+    let mut x = x.iter();
+    assignment
+        .iter()
+        .map(|slot| match slot {
+            Some(h) => Some(*h),
+            None => AttributeHash::from_biguint(x.next().expect("one value per unknown")),
+        })
+        .collect()
 }
 
 proptest! {
@@ -217,5 +257,78 @@ proptest! {
             .unwrap();
         prop_assert_eq!(s1.key, s2.key);
         prop_assert_eq!(s1.remainder, s2.remainder);
+    }
+
+    /// The memoized left-inverse solve returns exactly what elimination
+    /// returns, for every pattern of up to γ unknowns: on true values, on
+    /// a wrong known value, on hidden values wider than 256 bits, and on
+    /// a Random `R` with two equal columns (rank-deficient patterns).
+    #[test]
+    fn hint_solve_matches_elimination_oracle(
+        gamma in 1usize..=6,
+        beta in 1usize..=6,
+        random in any::<bool>(),
+        duplicate in any::<bool>(),
+        wide in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let f = PrimeField::goldilocks448();
+        let n = gamma + beta;
+        let r = if random {
+            let mut r = Matrix::zeros(gamma, beta);
+            for i in 0..gamma {
+                for j in 0..beta {
+                    *r.at_mut(i, j) = f.random_nonzero(&mut rng);
+                }
+            }
+            if duplicate && beta > 1 {
+                for i in 0..gamma {
+                    *r.at_mut(i, beta - 1) = r.at(i, 0).clone();
+                }
+            }
+            r
+        } else {
+            cauchy_matrix(&f, gamma, beta)
+        };
+        let c = Matrix::identity(gamma).hconcat(&r);
+        // Hidden values: hashes, except that `wide` = 1 puts a value
+        // wider than 256 bits at one position.
+        let hashes: Vec<AttributeHash> =
+            (0..n).map(|i| Attribute::new("h", format!("{seed}-{i}")).hash()).collect();
+        let mut hidden: Vec<BigUint> = hashes.iter().map(AttributeHash::to_biguint).collect();
+        let wide_at = (seed as usize) % n;
+        if wide == 1 {
+            hidden[wide_at] = &BigUint::one().shl_bits(256) + &f.random(&mut rng).shr_bits(200);
+        }
+        let b = c.mul_vec(&f, &hidden);
+        let construction = if random { HintConstruction::Random } else { HintConstruction::Cauchy };
+        let hint = HintMatrix::from_parts(beta, construction, random.then(|| r.clone()), b.clone());
+        let decoy = Attribute::new("h", "decoy").hash();
+        for mask in 0u32..(1 << n) {
+            if mask.count_ones() as usize > gamma {
+                continue;
+            }
+            // Known positions carry the hidden hash (the decoy where the
+            // hidden value is wide); the second assignment also swaps the
+            // first known value for the decoy.
+            let truth: Vec<Option<AttributeHash>> = (0..n)
+                .map(|j| (mask >> j & 1 == 0).then(|| if wide == 1 && j == wide_at { decoy } else { hashes[j] }))
+                .collect();
+            let mut wrong = truth.clone();
+            if let Some(slot) = wrong.iter_mut().flatten().next() {
+                *slot = decoy;
+            }
+            for assignment in [&truth, &wrong] {
+                prop_assert_eq!(
+                    hint.solve(assignment),
+                    oracle_solve(&c, &b, assignment),
+                    "mask {:b} {:?}", mask, construction
+                );
+            }
+            if !random && wide != 1 {
+                prop_assert_eq!(hint.solve(&truth), Some(hashes.clone()), "Cauchy always solves");
+            }
+        }
     }
 }

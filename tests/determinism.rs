@@ -150,3 +150,67 @@ fn burst_handling_identical_across_threads_and_shards() {
         }
     }
 }
+
+/// Four OS threads decode one Cauchy request at once and enumerate it
+/// at 1 and 4 matching threads. No other test here uses its (γ, β) = (4, 3)
+/// shape, so the decoders race on cold entries of the process-wide hint
+/// memo; their keys and `MatchStats` must equal the sequential
+/// enumeration's.
+#[test]
+fn concurrent_decoders_share_the_hint_memo() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sealed_bottle::profile::matching::parallel::enumerate_candidate_keys_with_stats_par;
+    use sealed_bottle::profile::matching::{enumerate_candidate_keys_with_stats, MatchConfig};
+    use std::sync::Barrier;
+
+    let optional: Vec<Attribute> = (0..7).map(|i| attr("i", &format!("o{i}"))).collect();
+    let request =
+        RequestProfile::new(vec![attr("craft", "glassblowing")], optional.clone(), 3).unwrap();
+    let config = ProtocolConfig::new(ProtocolKind::P2, 11);
+    let (_, package) = Initiator::create(&request, 1, &config, 0, &mut StdRng::seed_from_u64(3));
+    let frame = package.encode();
+    // Three of the seven optional tags, plus noise that collides mod 11.
+    let mut attrs = vec![attr("craft", "glassblowing")];
+    attrs.extend(optional[..3].iter().cloned());
+    attrs.extend((0..24).map(|i| attr("hobby", &format!("n{i}"))));
+    let user = Profile::from_attributes(attrs);
+    let match_config = MatchConfig::default();
+
+    let barrier = Barrier::new(4);
+    let decoded: Vec<_> = std::thread::scope(|s| {
+        let decoders: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    let package = RequestPackage::decode(&frame).expect("request decodes");
+                    [1, 4].map(|threads| {
+                        enumerate_candidate_keys_with_stats_par(
+                            user.vector(),
+                            &package.remainder,
+                            package.hint.as_ref(),
+                            &match_config,
+                            Parallelism::new(threads),
+                        )
+                    })
+                })
+            })
+            .collect();
+        decoders.into_iter().map(|d| d.join().expect("decoder thread panicked")).collect()
+    });
+
+    let reference = enumerate_candidate_keys_with_stats(
+        user.vector(),
+        &package.remainder,
+        package.hint.as_ref(),
+        &match_config,
+    );
+    assert!(reference.1.solves > 1, "the user must reach several solves: {:?}", reference.1);
+    let key = request.vector().profile_key();
+    assert!(reference.0.iter().any(|k| k.key == key), "the true key must be recovered");
+    for (decoder, runs) in decoded.iter().enumerate() {
+        for (run, threads) in runs.iter().zip([1, 4]) {
+            assert_eq!(run, &reference, "decoder {decoder} at {threads} matching threads");
+        }
+    }
+}
