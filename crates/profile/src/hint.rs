@@ -63,16 +63,20 @@ pub enum HintConstruction {
 /// The hint matrix `M = [C, B]`.
 #[derive(Clone)]
 pub struct HintMatrix {
-    shape: Arc<Shape>,
-    /// `B = C · h_opt`, γ field elements.
-    b: Vec<Fe448>,
-}
-
-/// The public part of `C = [I | R]` and where its solved patterns live.
-struct Shape {
     gamma: usize,
     beta: usize,
     construction: HintConstruction,
+    /// `B = C · h_opt`, γ field elements.
+    b: Vec<Fe448>,
+    /// `R` and its solved patterns, shared by clones. The fields above
+    /// stay out of it: every relay hop encodes them, and in the shared
+    /// allocation they would sit on the cache line of the reference
+    /// count that other threads' clones write.
+    shape: Arc<Shape>,
+}
+
+/// The block `R` of `C = [I | R]` and where its solved patterns live.
+struct Shape {
     /// `R`, γ×β, row-major.
     r: Arc<[Fe448]>,
     /// A Random shape's own pattern memo; Cauchy patterns live in
@@ -150,50 +154,15 @@ impl Shape {
                 .map(|(i, j)| fe(m.at(i, j)))
                 .collect()
         });
-        Shape { gamma, beta, construction: HintConstruction::Cauchy, r, own: None }
+        Shape { r, own: None }
     }
 
-    fn random(gamma: usize, beta: usize, r: Vec<Fe448>) -> Shape {
-        assert_eq!(r.len(), gamma * beta, "R must be gamma x beta");
-        Shape {
-            gamma,
-            beta,
-            construction: HintConstruction::Random,
-            r: r.into(),
-            own: Some(Memo::default()),
-        }
+    fn random(r: Vec<Fe448>) -> Shape {
+        Shape { r: r.into(), own: Some(Memo::default()) }
     }
 
     fn memo(&self) -> &Memo {
         self.own.as_ref().unwrap_or(&CAUCHY)
-    }
-
-    /// Entry `(i, j)` of `C = [I | R]`.
-    fn c(&self, i: usize, j: usize) -> BigUint {
-        if j < self.gamma {
-            BigUint::from(u64::from(i == j))
-        } else {
-            self.r[i * self.beta + j - self.gamma].to_biguint()
-        }
-    }
-
-    /// The memo table of the pattern with these (ascending) unknown
-    /// positions: one elimination of `[C_U | I]`.
-    fn pattern(&self, unknowns: &[usize]) -> Vec<Fe448> {
-        let mut c_u = Matrix::zeros(self.gamma, unknowns.len());
-        for (k, &j) in unknowns.iter().enumerate() {
-            for i in 0..self.gamma {
-                *c_u.at_mut(i, k) = self.c(i, j);
-            }
-        }
-        let Ok((l, n)) = c_u.left_inverse(&PrimeField::goldilocks448()) else {
-            return Vec::new();
-        };
-        [l, n]
-            .iter()
-            .flat_map(|m| (0..m.rows()).flat_map(move |i| (0..m.cols()).map(move |j| m.at(i, j))))
-            .map(fe)
-            .collect()
     }
 }
 
@@ -227,8 +196,7 @@ impl HintMatrix {
                 // Drawn row-major through the oracle field, so seeded
                 // requests keep their bytes.
                 let field = PrimeField::goldilocks448();
-                let r = (0..gamma * beta).map(|_| fe(&field.random_nonzero(rng))).collect();
-                Shape::random(gamma, beta, r)
+                Shape::random((0..gamma * beta).map(|_| fe(&field.random_nonzero(rng))).collect())
             }
         };
         let h: Vec<Fe448> = optional.iter().map(|h| Fe448::from_hash(h.as_bytes())).collect();
@@ -238,7 +206,7 @@ impl HintMatrix {
                 (0..beta).fold(h[i], |acc, j| acc.add(&shape.r[i * beta + j].mul(&h[gamma + j])))
             })
             .collect();
-        HintMatrix { shape: Arc::new(shape), b }
+        HintMatrix { gamma, beta, construction, b, shape: Arc::new(shape) }
     }
 
     /// Reassembles a hint matrix from wire parts.
@@ -284,25 +252,27 @@ impl HintMatrix {
                 Shape::cauchy(gamma, beta)
             }
             HintConstruction::Random => {
-                Shape::random(gamma, beta, r.expect("random construction requires the R block"))
+                let r = r.expect("random construction requires the R block");
+                assert_eq!(r.len(), gamma * beta, "R must be gamma x beta");
+                Shape::random(r)
             }
         };
-        HintMatrix { shape: Arc::new(shape), b }
+        HintMatrix { gamma, beta, construction, b, shape: Arc::new(shape) }
     }
 
     /// Number of tolerated unknowns γ.
     pub fn gamma(&self) -> usize {
-        self.shape.gamma
+        self.gamma
     }
 
     /// Number of required known optional attributes β.
     pub fn beta(&self) -> usize {
-        self.shape.beta
+        self.beta
     }
 
     /// The construction used for the `R` block.
     pub fn construction(&self) -> HintConstruction {
-        self.shape.construction
+        self.construction
     }
 
     /// The published vector `B`.
@@ -314,6 +284,34 @@ impl HintMatrix {
     /// from (γ, β) for the Cauchy construction).
     pub(crate) fn r_block(&self) -> &[Fe448] {
         &self.shape.r
+    }
+
+    /// Entry `(i, j)` of `C = [I | R]`.
+    fn c(&self, i: usize, j: usize) -> BigUint {
+        if j < self.gamma {
+            BigUint::from(u64::from(i == j))
+        } else {
+            self.shape.r[i * self.beta + j - self.gamma].to_biguint()
+        }
+    }
+
+    /// The memo table of the pattern with these (ascending) unknown
+    /// positions: one elimination of `[C_U | I]`.
+    fn pattern(&self, unknowns: &[usize]) -> Vec<Fe448> {
+        let mut c_u = Matrix::zeros(self.gamma, unknowns.len());
+        for (k, &j) in unknowns.iter().enumerate() {
+            for i in 0..self.gamma {
+                *c_u.at_mut(i, k) = self.c(i, j);
+            }
+        }
+        let Ok((l, n)) = c_u.left_inverse(&PrimeField::goldilocks448()) else {
+            return Vec::new();
+        };
+        [l, n]
+            .iter()
+            .flat_map(|m| (0..m.rows()).flat_map(move |i| (0..m.cols()).map(move |j| m.at(i, j))))
+            .map(fe)
+            .collect()
     }
 
     /// Completes a partial optional-block assignment.
@@ -334,8 +332,7 @@ impl HintMatrix {
     ///
     /// Panics if `assignment.len() != gamma + beta`.
     pub fn solve(&self, assignment: &[Option<AttributeHash>]) -> Option<Vec<AttributeHash>> {
-        let s = &*self.shape;
-        let (gamma, beta) = (s.gamma, s.beta);
+        let (gamma, beta, r): (usize, usize, &[Fe448]) = (self.gamma, self.beta, &self.shape.r);
         assert_eq!(assignment.len(), gamma + beta, "assignment length mismatch");
 
         // The pattern's memo key: [γ, β, unknown positions…].
@@ -355,8 +352,8 @@ impl HintMatrix {
             if j < gamma {
                 rhs[j] = rhs[j].sub(&x);
             } else {
-                for (i, r) in rhs.iter_mut().enumerate() {
-                    *r = r.sub(&s.r[i * beta + j - gamma].mul(&x));
+                for (i, v) in rhs.iter_mut().enumerate() {
+                    *v = v.sub(&r[i * beta + j - gamma].mul(&x));
                 }
             }
         }
@@ -369,7 +366,7 @@ impl HintMatrix {
                 .then(|| assignment.iter().flatten().copied().collect());
         }
 
-        let table = s.memo().get_or_build(&key, || s.pattern(&key[2..]));
+        let table = self.shape.memo().get_or_build(&key, || self.pattern(&key[2..]));
         if table.is_empty() {
             return None; // C_U is rank deficient
         }
@@ -415,10 +412,9 @@ impl HintMatrix {
 /// Compares (γ, β, construction, B, R); the memo is a cache.
 impl PartialEq for HintMatrix {
     fn eq(&self, other: &Self) -> bool {
-        let (a, b) = (&*self.shape, &*other.shape);
-        (a.gamma, a.beta, a.construction) == (b.gamma, b.beta, b.construction)
+        (self.gamma, self.beta, self.construction) == (other.gamma, other.beta, other.construction)
             && self.b == other.b
-            && a.r == b.r
+            && self.shape.r == other.shape.r
     }
 }
 
