@@ -57,7 +57,9 @@ fn main() {
          (γ, β), so it never crosses the wire — γ·β fewer field elements per\n\
          package — and makes the paper's unique-solvability claim\n\
          unconditional instead of probabilistic. The block costs γ·β field\n\
-         inversions once per (γ, β) per process; later generations and every\n\
-         warm solve run in fixed-width arithmetic, far below a millisecond."
+         inversions once per (γ, β) per process. A Cauchy solve on a memoized\n\
+         pattern runs in fixed-width arithmetic; Random matrices, and Cauchy\n\
+         shapes whose patterns outgrow the memo (here γ = β = 10), solve by\n\
+         elimination with one field inversion per unknown R column."
     );
 }

@@ -112,7 +112,7 @@ fn main() {
             "the old path".to_string(),
         ],
         vec![
-            "Hint solve, 3 unknowns, Random (fresh matrix)".to_string(),
+            "Hint solve, 3 unknowns, Random (HintMatrix::solve)".to_string(),
             fmt_ms(random.1),
             format!("{:.2}x vs elimination", random.0 / random.1),
         ],
@@ -133,9 +133,9 @@ fn main() {
 
 /// Mean hint-solve times (ms) at γ = β = 3 with three unknowns: the
 /// `BigUint` elimination every solve ran before the pattern memo, and
-/// `HintMatrix::solve` on the same system. The Cauchy matrix is reused,
-/// so its memo is warm; the Random one is rebuilt per iteration, so its
-/// time includes the pattern build.
+/// `HintMatrix::solve` on the same system. The Cauchy pattern's memo is
+/// warm after the first solve; a Random matrix solves by elimination, so
+/// its two times should match.
 fn hint_solve_ms(construction: HintConstruction) -> (f64, f64) {
     let f = PrimeField::goldilocks448();
     let attrs: Vec<Attribute> = (0..6).map(|i| Attribute::new("tag", format!("t{i}"))).collect();
@@ -154,7 +154,7 @@ fn hint_solve_ms(construction: HintConstruction) -> (f64, f64) {
     let c = Matrix::identity(3).hconcat(&r);
     let b = c.mul_vec(&f, &optional.iter().map(|h| h.to_biguint()).collect::<Vec<_>>());
     let r = (construction == HintConstruction::Random).then_some(r);
-    let hint = HintMatrix::from_parts(3, construction, r.clone(), b.clone());
+    let hint = HintMatrix::from_parts(3, construction, r, b.clone());
     assert_eq!(hint.solve(&assignment).as_deref(), Some(&optional[..]));
 
     let elimination = time_stats(10, 500, || {
@@ -168,17 +168,11 @@ fn hint_solve_ms(construction: HintConstruction) -> (f64, f64) {
         black_box(c.select_columns(&[3, 4, 5]).solve(&f, &rhs).expect("nonsingular"));
     })
     .mean_ms;
-    let memo = time_stats(10, 500, || match construction {
-        HintConstruction::Cauchy => {
-            black_box(hint.solve(black_box(&assignment)));
-        }
-        HintConstruction::Random => {
-            let fresh = HintMatrix::from_parts(3, construction, r.clone(), b.clone());
-            black_box(fresh.solve(black_box(&assignment)));
-        }
+    let solve = time_stats(10, 500, || {
+        black_box(hint.solve(black_box(&assignment)));
     })
     .mean_ms;
-    (elimination, memo)
+    (elimination, solve)
 }
 
 fn row(name: &str, measured: f64, laptop: f64, phone: f64) -> Vec<String> {

@@ -99,7 +99,8 @@ fn main() {
         "\nPaper laptop reference (ms): MatrixGen 7.2e-3, KeyGen 8.1e-3,\n\
          RemainderGen 1.9e-3, HintGen 4.7e-3, HintSolve 3e-2.\n\
          Shape check: everything stays well under 1 ms for ordinary profiles.\n\
-         HintSolve's mean and max come from the first solve of each (γ, β):\n\
-         it builds that pattern's left inverse, which later solves reuse."
+         HintSolve's mean and max come from solves that build a pattern's\n\
+         left inverse, or that run the elimination on a shape too large to\n\
+         memoize; a memoized pattern's later solves reuse its inverse."
     );
 }

@@ -21,8 +21,9 @@
 //!   candidate-key derivation.
 //! * [`hint`] — the hint matrix `M = [C, B]`, `C = [I | R]` (Eqs. 9–13),
 //!   built over the Goldilocks-448 prime field so recovered attribute
-//!   hashes are exact; each unknown pattern's left inverse is built once
-//!   and memoized, so a solve is two small fixed-width products.
+//!   hashes are exact; for the common Cauchy shapes each unknown
+//!   pattern's left inverse is built once and memoized, so a solve is
+//!   two small fixed-width products.
 //! * [`entropy`] — attribute/profile entropy and the ϕ-entropy privacy
 //!   policies of Protocol 3 (Defs. 4–6).
 //!

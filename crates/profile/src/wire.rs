@@ -37,9 +37,10 @@ pub const FIELD_BYTES: usize = FE448_BYTES;
 ///
 /// A decoded hint triggers derived work the wire bytes do not pay for:
 /// the Cauchy construction needs `R`, γ·β field inversions, and each
-/// solve needs its unknown pattern's left inverse. The receiver builds
-/// the Cauchy block once per (γ, β) per process and each pattern once,
-/// memoized under a fixed byte budget (`hint.rs`); a shape the memo
+/// solve an elimination. The receiver builds the Cauchy block once per
+/// (γ, β) per process, and each pattern's left inverse once where all of
+/// a shape's patterns fit, in a memo held under a fixed byte budget
+/// (`hint.rs`); larger shapes solve by elimination, and a shape the memo
 /// cannot keep costs a rebuild per use, never a lockout. The decoder
 /// bounds both dimensions *before* reading elements or constructing
 /// anything. 256 is ~2× the largest attribute count in the evaluation
